@@ -7,17 +7,12 @@
 //   cost      DegreeAccumulator bucketing only (no payloads, no delivery)
 //   record    cost + schedule capture (one event per send)
 //
-// plus the ISSUE 6 cost-optimizer path: the recorded schedule is classified
-// and fused once (bsp/ir_opt.hpp), and every subsequent query replays bulk
-// records in O(supersteps · log v) instead of O(v²) events.
-//
-// Acceptance bars: the cost backend sustains >= 3x the simulate backend's
-// messages/second on the dense all-to-all at v = 64 (ISSUE 5), and the
-// fused replay sustains >= 10x (ISSUE 6). The registry half then times one
-// full `nobl certify`-shaped trace per kernel under simulate vs cost, and
-// the analytic table runs a 100-point (n, σ) certify-style sweep through
-// the memoizing analytic backend — the amortization a threshold-gated
-// campaign sees end to end.
+// Acceptance bar: the cost backend sustains >= 3x the simulate backend's
+// messages/second on the dense all-to-all at v = 64. The registry half then
+// times one full `nobl certify`-shaped trace per kernel under simulate vs
+// cost, and the analytic table runs a 100-point (n, σ) certify-style sweep
+// through the memoizing analytic backend — the amortization a
+// threshold-gated campaign sees end to end.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -29,7 +24,6 @@
 #include "bench_common.hpp"
 #include "bsp/backend.hpp"
 #include "bsp/cost.hpp"
-#include "bsp/ir_opt.hpp"
 #include "bsp/machine.hpp"
 #include "core/analytic.hpp"
 #include "util/bits.hpp"
@@ -82,35 +76,10 @@ double messages_per_second(std::uint64_t v, unsigned reps,
   return best;
 }
 
-/// The fused-replay path: record + optimize once (outside the timer — that
-/// cost is paid exactly once per (kernel, n) by the memo cache), then time
-/// pure replays of the bulk records.
-double fused_replay_rate_once(const OptimizedSchedule& optimized,
-                              unsigned reps) {
-  const auto t0 = std::chrono::steady_clock::now();
-  std::uint64_t total = 0;
-  for (unsigned rep = 0; rep < reps; ++rep) {
-    total += optimized.replay_trace().total_messages();
-    benchmark::DoNotOptimize(total);
-  }
-  const std::chrono::duration<double> dt =
-      std::chrono::steady_clock::now() - t0;
-  return static_cast<double>(total) / dt.count();
-}
-
-double fused_replay_rate(const OptimizedSchedule& optimized, unsigned reps) {
-  double best = 0.0;
-  for (int sample = 0; sample < 3; ++sample) {
-    best = std::max(best, fused_replay_rate_once(optimized, reps));
-  }
-  return best;
-}
-
 void backend_storm_table() {
   Table t("dense all-to-all, messages/second per backend",
           {"v", "messages/run", "simulate msg/s", "cost msg/s",
-           "record msg/s", "fused replay msg/s", "cost/simulate",
-           "fused/simulate"});
+           "record msg/s", "cost/simulate"});
   for (const std::uint64_t v : {16u, 64u, 256u}) {
     const std::uint64_t messages = kSupersteps * v * v;
     // Aim for several million messages per sample, after one warm-up.
@@ -126,31 +95,22 @@ void backend_storm_table() {
     const double sim_rate = messages_per_second(v, reps, simulate);
     const double cost_rate = messages_per_second(v, reps, cost);
     const double record_rate = messages_per_second(v, reps, record);
-    RecordBackend recorder(v);
-    dense_program(recorder);
-    const OptimizedSchedule optimized = optimize_schedule(recorder.schedule());
-    (void)fused_replay_rate(optimized, 1);
-    // The replay is so much faster that it needs its own rep count to fill
-    // a measurable window.
-    const double fused_rate = fused_replay_rate(optimized, 64 * reps);
     t.row()
         .add(v)
         .add(messages)
         .add(sim_rate)
         .add(cost_rate)
         .add(record_rate)
-        .add(fused_rate)
-        .add(cost_rate / sim_rate)
-        .add(fused_rate / sim_rate);
+        .add(cost_rate / sim_rate);
   }
   std::cout << t;
 }
 
-/// The ISSUE 6 amortization story: a certify-style sweep of >= 100 (n, σ)
-/// points answered entirely by the analytic backend — closed forms for the
-/// exact kernels, one recorded+fused schedule per (kernel, n) for the rest
-/// — evaluating the full fold × σ H surface per point. Acceptance: the
-/// whole sweep completes in under one second.
+/// The amortization story: a certify-style sweep of >= 100 (n, σ) points
+/// answered entirely by the analytic backend — closed forms for the exact
+/// kernels, one memoized cost trace per (kernel, n) for the rest —
+/// evaluating the full fold × σ H surface per point. Acceptance: the whole
+/// sweep completes in under one second.
 void analytic_sweep_table() {
   AnalyticBackend::instance().clear();
   const std::vector<double> sigmas{0.0, 0.5, 1.0, 2.0, 4.0};
@@ -251,19 +211,6 @@ void BM_RecordDenseAllToAll(benchmark::State& state) {
                           kSupersteps * static_cast<std::int64_t>(v * v));
 }
 BENCHMARK(BM_RecordDenseAllToAll)->Arg(64)->Arg(256);
-
-void BM_FusedReplayDenseAllToAll(benchmark::State& state) {
-  const auto v = static_cast<std::uint64_t>(state.range(0));
-  RecordBackend recorder(v);
-  dense_program(recorder);
-  const OptimizedSchedule optimized = optimize_schedule(recorder.schedule());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(optimized.replay_trace().total_messages());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          kSupersteps * static_cast<std::int64_t>(v * v));
-}
-BENCHMARK(BM_FusedReplayDenseAllToAll)->Arg(64)->Arg(256);
 
 }  // namespace
 }  // namespace nobl

@@ -39,8 +39,8 @@ def analytic_dispatch(algo):
     if algo["exact_h"]:
         return "closed-form synthesis"
     if algo["input_independent"]:
-        return "memoized fused schedule"
-    return "cost-interpreter fallback"
+        return "memoized cost trace"
+    return "cost interpreter, every query"
 
 
 def sizes(values):
@@ -86,13 +86,12 @@ def render(doc):
     out.append("")
     out.append("All kernels run under all {} backends (`{}`); the *analytic*".format(
         len(algos[0]["backends"]), ", ".join(algos[0]["backends"])))
-    out.append("dispatch column says which of its three strategies answers the query")
-    out.append("(see [ARCHITECTURE.md](ARCHITECTURE.md) and `src/core/analytic.hpp`).")
-    out.append("Kernels marked `memoized fused schedule` are input-independent: their")
-    out.append("communication pattern at a given n is a static property, so one")
-    out.append("recorded schedule — classified and fused by `src/bsp/ir_opt.hpp` —")
-    out.append("answers every (fold, σ) query. The data-dependent kernel is refused by")
-    out.append("the memo cache and re-executed under the cost interpreter instead.")
+    out.append("dispatch column says how it answers the query (see")
+    out.append("[ARCHITECTURE.md](ARCHITECTURE.md) and `src/core/analytic.hpp`).")
+    out.append("Kernels marked `memoized cost trace` are input-independent: their")
+    out.append("communication pattern at a given n is a static property, so one cost")
+    out.append("run answers every (fold, σ) query. The data-dependent kernel is refused")
+    out.append("by the memo and re-executed under the cost interpreter instead.")
     out.append("")
     out.append("## Builtin campaigns\n")
     for name in doc["campaigns"]:

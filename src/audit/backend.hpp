@@ -1,7 +1,7 @@
 // AuditBackend: the non-executing obliviousness analyzer.
 //
-// The sixth interpreter of the Program IR (after simulate / cost / record /
-// analytic / distributed): it drives the same superstep bodies as
+// The fifth interpreter of the Program IR (after simulate / cost / record /
+// analytic): it drives the same superstep bodies as
 // CostBackend — sequentially, payload-free, with identical validation
 // (label range, no nesting, strictly increasing sparse sets, destination
 // range, i-cluster containment) — but instead of degree accounting it

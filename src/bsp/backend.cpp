@@ -34,8 +34,6 @@ std::string to_string(BackendKind kind) {
       return "record";
     case BackendKind::kAnalytic:
       return "analytic";
-    case BackendKind::kDistributed:
-      return "distributed";
   }
   return "unknown";
 }
@@ -45,16 +43,15 @@ BackendKind backend_from_string(const std::string& name) {
   if (name == "cost") return BackendKind::kCost;
   if (name == "record") return BackendKind::kRecord;
   if (name == "analytic") return BackendKind::kAnalytic;
-  if (name == "distributed" || name == "dist") return BackendKind::kDistributed;
   throw std::invalid_argument(
       "unknown backend \"" + name +
-      "\" (expected simulate | cost | record | analytic | distributed)");
+      "\" (expected simulate | cost | record | analytic)");
 }
 
 const std::vector<BackendKind>& all_backend_kinds() {
   static const std::vector<BackendKind> kinds{
       BackendKind::kSimulate, BackendKind::kCost, BackendKind::kRecord,
-      BackendKind::kAnalytic, BackendKind::kDistributed};
+      BackendKind::kAnalytic};
   return kinds;
 }
 
@@ -84,40 +81,6 @@ Trace Schedule::replay_trace() const {
     trace.append(std::move(record));
   }
   return trace;
-}
-
-namespace {
-
-/// 64-bit FNV-1a over a word sequence (each word fed little-endian).
-std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t word) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    hash ^= (word >> (8 * i)) & 0xFFu;
-    hash *= 0x100000001B3ull;
-  }
-  return hash;
-}
-
-std::uint64_t fnv1a(std::uint64_t hash,
-                    const std::vector<std::uint64_t>& words) noexcept {
-  hash = fnv1a(hash, words.size());  // length-prefix: no column aliasing
-  for (const std::uint64_t word : words) hash = fnv1a(hash, word);
-  return hash;
-}
-
-}  // namespace
-
-std::uint64_t Schedule::content_hash() const noexcept {
-  std::uint64_t hash = 0xCBF29CE484222325ull;
-  hash = fnv1a(hash, log_v);
-  hash = fnv1a(hash, steps.size());
-  for (const ScheduleStep& step : steps) {
-    hash = fnv1a(hash, step.label);
-    hash = fnv1a(hash, step.src());
-    hash = fnv1a(hash, step.dst());
-    hash = fnv1a(hash, step.count());
-    hash = fnv1a(hash, step.dummy_words());
-  }
-  return hash;
 }
 
 }  // namespace nobl

@@ -48,6 +48,7 @@
 // runs under SimulateBackend, and vice versa.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <span>
@@ -59,34 +60,25 @@
 #include "bsp/execution.hpp"
 #include "bsp/machine.hpp"
 #include "bsp/trace.hpp"
-#include "dist/backend.hpp"
 #include "util/bits.hpp"
 
 namespace nobl {
 
 /// Backend selector carried by CLIs, campaign specs and registry runners.
 ///
-/// kAnalytic is the cost-optimizer path (core/analytic.hpp): registry
-/// runners answer it without executing the program — symbolically for
-/// kernels whose closed form is exact, via a memoized record-once /
-/// replay-many schedule cache for the other input-independent kernels, and
-/// by falling back to kCost for data-dependent kernels (samplesort). It is
+/// kAnalytic (core/analytic.hpp) answers from a closed form for kernels
+/// whose predicted H is exact, and from a kCost run otherwise — memoized
+/// per (kernel, n) unless the kernel is data-dependent (samplesort). It is
 /// dispatched in the registry layer; run_for_trace itself rejects it
 /// because a bare program carries no closed form.
-///
-/// kDistributed executes the program on real forked worker processes (one
-/// per VP cluster; dist/backend.hpp), merging per-superstep event blocks
-/// over a fork or loopback-TCP channel into a trace bit-identical to the
-/// in-process backends, with measured wall-clock per superstep on the side.
-enum class BackendKind : std::uint8_t {
-  kSimulate,
-  kCost,
-  kRecord,
-  kAnalytic,
-  kDistributed
-};
+enum class BackendKind : std::uint8_t { kSimulate, kCost, kRecord, kAnalytic };
 
-/// "simulate" | "cost" | "record" | "analytic" | "distributed".
+/// Number of BackendKind values; they are dense from 0, so a kind's
+/// underlying value indexes per-backend counter arrays.
+inline constexpr std::size_t kBackendCount =
+    static_cast<std::size_t>(BackendKind::kAnalytic) + 1;
+
+/// "simulate" | "cost" | "record" | "analytic".
 [[nodiscard]] std::string to_string(BackendKind kind);
 
 /// Inverse of to_string; throws std::invalid_argument listing the valid
@@ -106,17 +98,10 @@ class TraceWriter;
 struct RunOptions {
   ExecutionPolicy policy{};
   BackendKind backend = BackendKind::kSimulate;
-  /// When non-null and backend == kRecord or kDistributed, run_for_trace
-  /// copies the captured Schedule here — the seam the analytic memo cache
-  /// uses to lift a kernel's communication pattern out of one recorded run,
-  /// and the seam the distributed conformance tests use to compare merged
-  /// event streams against RecordBackend.
+  /// When non-null and backend == kRecord, run_for_trace copies the
+  /// captured Schedule here — the seam the audit layer uses to lint a
+  /// kernel's recorded communication pattern.
   Schedule* capture = nullptr;
-  /// kDistributed only: worker count and transport.
-  dist::DistConfig dist{};
-  /// kDistributed only: when non-null, receives the measured wall-clock
-  /// column (per superstep + total) of the distributed run.
-  dist::Measurement* measure = nullptr;
 
   RunOptions() = default;
   // NOLINTNEXTLINE(runtime/explicit): deliberate converting constructor
@@ -151,8 +136,8 @@ struct ScheduleSend {
 /// dst / count columns and a dummy bitmap (bit i of word i/64), in
 /// execution order (ascending sender under the sequential driver,
 /// per-sender send order). The same block layout the binary trace store
-/// uses: O(E) scans (ir_opt classification, replay) walk contiguous
-/// columns, equality and content hashing compare whole words.
+/// uses: O(E) scans (replay, schedule lint) walk contiguous columns, and
+/// equality compares whole words.
 class ScheduleStep {
  public:
   unsigned label = 0;
@@ -228,10 +213,6 @@ struct Schedule {
   /// Re-derive the trace by feeding every event through a fresh
   /// DegreeAccumulator per superstep — the replay half of record/replay.
   [[nodiscard]] Trace replay_trace() const;
-  /// FNV-1a over log_v and every block's label and columns: the
-  /// content address under which the analytic memo cache stores replayed
-  /// traces (two schedules with identical patterns share one entry).
-  [[nodiscard]] std::uint64_t content_hash() const noexcept;
 };
 
 /// The payload-free counting backend. Bodies run inline, in VP index order
@@ -510,29 +491,6 @@ template <typename Payload, typename ProgramFn>
       throw std::invalid_argument(
           "run_for_trace: the analytic backend is dispatched by the "
           "algorithm registry (core/analytic.hpp), not by run_for_trace");
-    case BackendKind::kDistributed: {
-      // Type-erase the program: the shard backend is one concrete class,
-      // so the fork/merge machinery lives out of line in dist/backend.cpp.
-      std::vector<dist::MergedStep> merged;
-      Trace trace = dist::run_distributed(
-          v, options.dist, options.measure,
-          options.capture != nullptr ? &merged : nullptr,
-          [&program](dist::DistributedBackend& backend) { program(backend); });
-      if (options.capture != nullptr) {
-        Schedule schedule;
-        schedule.log_v = log2_exact(v);
-        for (const dist::MergedStep& step : merged) {
-          ScheduleStep block(step.label);
-          for (std::size_t i = 0; i < step.src.size(); ++i) {
-            block.push(step.src[i], step.dst[i], step.count[i],
-                       ((step.dummy_words[i >> 6] >> (i & 63)) & 1) != 0);
-          }
-          schedule.steps.push_back(std::move(block));
-        }
-        *options.capture = std::move(schedule);
-      }
-      return trace;
-    }
     case BackendKind::kSimulate:
     default: {
       SimulateBackend<Payload> backend(v, options.policy);

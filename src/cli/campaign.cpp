@@ -221,24 +221,11 @@ CampaignSpec parse_campaign_spec(std::string_view text) {
                    "max_fold must be 0 (no cap) or a power of two >= 2");
       }
       spec.max_fold = fold;
-    } else if (key == "transport") {
-      try {
-        spec.dist.transport = dist::transport_from_string(std::string(value));
-      } catch (const std::invalid_argument& e) {
-        parse_fail(line_no, value_column, e.what());
-      }
-    } else if (key == "dist_workers") {
-      const std::uint64_t workers = parse_u64(value, line_no, value_column);
-      if (workers > 1024) {
-        parse_fail(line_no, value_column,
-                   "dist_workers out of range [0, 1024] (0 = auto)");
-      }
-      spec.dist.workers = static_cast<unsigned>(workers);
     } else {
       parse_fail(line_no, indent + 1,
                  "unknown key \"" + std::string(key) +
                      "\" (expected name | algorithms | engines | backends | "
-                     "sigmas | max_fold | transport | dist_workers)");
+                     "sigmas | max_fold)");
     }
   }
 
@@ -295,7 +282,7 @@ CampaignSpec builtin_campaign(const std::string& name) {
   if (name == "conformance") {
     // Every registered kernel at its smallest smoke size, sequential: the
     // cross-backend bit-identity matrix. Run it with
-    // `--backend simulate,cost,record,analytic,distributed` and feed the
+    // `--backend simulate,cost,record,analytic` and feed the
     // document to `nobl check` — validate_campaign_json requires identical
     // H cells across every backend.
     for (const AlgoEntry& entry : AlgoRegistry::instance().entries()) {
@@ -379,24 +366,8 @@ void run_one_cell(const CampaignSpec& spec, const AlgoEntry& entry,
     *progress << "nobl: running " << entry.name << " n=" << n << " ["
               << to_string(policy) << ", " << to_string(backend) << "]\n";
   }
-  RunOptions options{policy, backend};
-  dist::Measurement measurement;
-  if (backend == BackendKind::kDistributed) {
-    options.dist = spec.dist;
-    options.measure = &measurement;
-  }
-  RunResult run =
-      evaluate_run(spec, entry, n, backend, policy, entry.runner(n, options));
-  if (backend == BackendKind::kDistributed) {
-    // Attach the measured wall-clock column next to the accounted degrees.
-    // evaluate_run is deliberately trace-only, so timing rides on the
-    // RunResult afterwards and never perturbs the metric surface.
-    run.measured_ms = std::move(measurement.superstep_ms);
-    run.measured_total_ms = measurement.total_ms;
-    run.transport = dist::to_string(measurement.transport);
-    run.dist_workers = measurement.workers;
-  }
-  runs->push_back(std::move(run));
+  runs->push_back(evaluate_run(spec, entry, n, backend, policy,
+                               entry.runner(n, RunOptions{policy, backend})));
 }
 
 }  // namespace
@@ -486,19 +457,6 @@ void write_run_json(JsonWriter& w, const RunResult& run) {
   w.key("beta_at_p").value(run.certification.beta_at_p);
   w.key("guarantee").value(run.certification.guarantee());
   w.end_object();
-  if (!run.measured_ms.empty()) {
-    // Distributed runs only: measured wall clock per superstep, next to the
-    // accounted degree columns above. Absent everywhere else (including
-    // served cache hits) — consumers must treat the key as optional.
-    w.key("measured").begin_object();
-    w.key("transport").value(run.transport);
-    w.key("workers").value(run.dist_workers);
-    w.key("total_ms").value(run.measured_total_ms);
-    w.key("superstep_ms").begin_array();
-    for (const double ms : run.measured_ms) w.value(ms);
-    w.end_array();
-    w.end_object();
-  }
   w.end_object();
 }
 
@@ -532,12 +490,6 @@ void write_campaign_spec(std::ostream& os, const CampaignSpec& spec) {
     os << "\n";
   }
   if (spec.max_fold != 0) os << "max_fold = " << spec.max_fold << "\n";
-  if (spec.dist.transport != dist::Transport::kFork) {
-    os << "transport = " << dist::to_string(spec.dist.transport) << "\n";
-  }
-  if (spec.dist.workers != 0) {
-    os << "dist_workers = " << spec.dist.workers << "\n";
-  }
 }
 
 void print_campaign_text(std::ostream& os, const CampaignResult& result) {
@@ -575,18 +527,6 @@ void print_campaign_text(std::ostream& os, const CampaignResult& result) {
        << " beta_min=" << Table::format_double(run.certification.beta_min)
        << " guarantee=" << Table::format_double(run.certification.guarantee())
        << "\n";
-    if (!run.measured_ms.empty()) {
-      Table meas(run.algorithm + " n=" + std::to_string(run.n) +
-                     ": measured wall clock (" + run.transport + ", " +
-                     std::to_string(run.dist_workers) + " workers)",
-                 {"superstep", "measured ms"});
-      for (std::size_t i = 0; i < run.measured_ms.size(); ++i) {
-        meas.row().add(static_cast<std::uint64_t>(i)).add(run.measured_ms[i]);
-      }
-      os << meas;
-      os << "  measured total: " << Table::format_double(run.measured_total_ms)
-         << " ms\n";
-    }
   }
 }
 

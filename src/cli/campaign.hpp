@@ -1,8 +1,8 @@
 // Campaigns: programmable experiment sweeps over the algorithm registry.
 //
 // A campaign names a set of algorithms (each with a size sweep), a backend
-// matrix (simulate / cost / record / analytic / distributed, see
-// bsp/backend.hpp, core/analytic.hpp and dist/backend.hpp), an engine matrix,
+// matrix (simulate / cost / record / analytic, see bsp/backend.hpp and
+// core/analytic.hpp), an engine matrix,
 // a fold range and a σ grid. `run_campaign` executes every (algorithm, n,
 // backend, engine) cell once and evaluates the full metric surface from the
 // recorded trace:
@@ -55,9 +55,6 @@ struct CampaignSpec {
   std::uint64_t max_fold = 0;
   /// Explicit σ grid; empty = the standard grid {0, 1, √(n/p), n/p}.
   std::vector<double> sigmas;
-  /// Distributed-backend settings (transport + worker count), applied to
-  /// every kDistributed cell of this campaign.
-  dist::DistConfig dist{};
 };
 
 /// Parse the line-oriented campaign format:
@@ -66,11 +63,9 @@ struct CampaignSpec {
 ///   name = nightly
 ///   algorithms = matmul:64:4096, fft, sort:256     (bare name = smoke sizes)
 ///   engines = seq, par:2                           (default: seq)
-///   backends = simulate, cost, distributed, ...    (default: simulate)
+///   backends = simulate, cost, analytic, ...       (default: simulate)
 ///   sigmas = 0, 1, 4.5                             (default: auto grid)
 ///   max_fold = 64                                  (default: all folds)
-///   transport = fork | tcp                         (default: fork)
-///   dist_workers = 4                               (default: auto)
 ///
 /// Throws std::invalid_argument with "line L, column C" position info on
 /// unknown keys, unknown algorithms, empty sweeps, or malformed numbers.
@@ -106,8 +101,7 @@ struct FoldResult {
 struct RunResult {
   std::string algorithm;
   std::string engine;  ///< to_string(policy): "seq" or "par:N"
-  /// to_string(kind): "simulate" | "cost" | "record" | "analytic" |
-  /// "distributed"
+  /// to_string(kind): "simulate" | "cost" | "record" | "analytic"
   std::string backend;
   std::uint64_t n = 0;
   unsigned log_v = 0;
@@ -117,14 +111,6 @@ struct RunResult {
   std::vector<FoldResult> folds;
   OptimalityReport certification;  ///< at the top swept fold
   Trace trace;                     ///< kept for `nobl trace --export`
-  /// Distributed runs only: the measured wall-clock column (one entry per
-  /// superstep) next to the accounted degrees, plus how it was produced.
-  /// Empty superstep_ms = not a freshly-executed distributed run (other
-  /// backends, and served cache hits, carry no timing).
-  std::vector<double> measured_ms;
-  double measured_total_ms = 0.0;
-  std::string transport;       ///< "fork" | "tcp" (distributed runs only)
-  unsigned dist_workers = 0;   ///< worker processes (distributed runs only)
 };
 
 struct CampaignResult {

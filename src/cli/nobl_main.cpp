@@ -91,8 +91,6 @@ const std::vector<CommandSpec>& command_registry() {
        {{"--campaign", true},
         {"--spec", true},
         {"--backend", true},
-        {"--transport", true},
-        {"--dist-workers", true},
         {"--json", true},
         {"--thresholds", true},
         {"--text", false},
@@ -103,8 +101,6 @@ const std::vector<CommandSpec>& command_registry() {
        {{"--campaign", true},
         {"--spec", true},
         {"--backend", true},
-        {"--transport", true},
-        {"--dist-workers", true},
         {"--json", true},
         {"--quiet", false},
         {"--help", false}},
@@ -134,7 +130,6 @@ const std::vector<CommandSpec>& command_registry() {
        {{"--results", true},
         {"--thresholds", true},
         {"--golden", true},
-        {"--transport", true},
         {"--serve-stats", true},
         {"--serve-thresholds", true},
         {"--help", false}},
@@ -257,10 +252,7 @@ void save_trace(const std::string& path, const Trace& trace, bool binary) {
 struct CampaignArgs {
   std::string campaign;  ///< builtin name
   std::string spec;      ///< path to a spec file
-  /// --backend override (simulate | cost | record | analytic | distributed)
-  std::string backend;
-  std::string transport;     ///< --transport override (fork | tcp)
-  std::string dist_workers;  ///< --dist-workers override (raw flag value)
+  std::string backend;   ///< --backend override (simulate | cost | ...)
 };
 
 [[nodiscard]] CampaignSpec resolve_campaign(const CampaignArgs& args) {
@@ -272,18 +264,6 @@ struct CampaignArgs {
   } else {
     throw std::invalid_argument("no campaign selected: pass --campaign NAME "
                                 "or --spec FILE");
-  }
-  if (!args.transport.empty()) {
-    spec.dist.transport = dist::transport_from_string(args.transport);
-  }
-  if (!args.dist_workers.empty()) {
-    const std::uint64_t workers =
-        parse_u64_flag("--dist-workers", args.dist_workers);
-    if (workers > 1024) {
-      throw std::invalid_argument(
-          "--dist-workers: out of range [0, 1024] (0 = auto)");
-    }
-    spec.dist.workers = static_cast<unsigned>(workers);
   }
   if (!args.backend.empty()) {
     // Comma-separated override, e.g. --backend simulate,cost — running
@@ -324,20 +304,11 @@ Options:
                   cost (degree accounting only — no payloads, no delivery,
                   no inboxes), record (capture + replay the communication
                   schedule), analytic (closed-form trace synthesis for
-                  kernels with exact formulas, a memoized fused replay for
-                  the other input-independent kernels, cost fallback
-                  otherwise), distributed (real forked worker processes,
-                  one per VP cluster, merged over a fork or loopback-TCP
-                  channel — attaches a measured wall-clock column per
-                  superstep, docs/DISTRIBUTED.md). Traces are
-                  backend-invariant — running e.g.
+                  kernels with exact formulas, the cost trace otherwise,
+                  memoized per (kernel, n) for input-independent
+                  kernels). Traces are backend-invariant — running e.g.
                   --backend simulate,cost,analytic makes `nobl check`
                   enforce that bit-identity inside the one result document
-  --transport T   distributed backend only: the worker channel, fork
-                  (socketpairs opened before fork, default) | tcp
-                  (loopback TCP)
-  --dist-workers N  distributed backend only: worker processes (0 = auto,
-                  default; rounded down to a power of two <= v)
   --thresholds F  after the run, gate the results on the thresholds file F
                   (exit 1 on any violation) — the one-shot form of the CI
                   `nobl run` + `nobl check` pair
@@ -366,8 +337,6 @@ int cmd_run(const std::vector<std::string>& args) {
         if (flag == "--campaign") campaign_args.campaign = value;
         if (flag == "--spec") campaign_args.spec = value;
         if (flag == "--backend") campaign_args.backend = value;
-        if (flag == "--transport") campaign_args.transport = value;
-        if (flag == "--dist-workers") campaign_args.dist_workers = value;
         if (flag == "--json") json_path = value;
         if (flag == "--thresholds") thresholds_path = value;
         if (flag == "--text") text = true;
@@ -422,14 +391,10 @@ Usage:
 Options:
   --json FILE   also write the full result document ("-" = stdout)
   --backend B   certify under one backend: simulate | cost | record |
-                analytic | distributed. Analytic is the natural choice for
-                sweeps — verdicts are pure trace queries, and the analytic
-                backend answers them from closed forms or one memoized
-                schedule instead of re-running the kernel per point;
-                distributed certifies the merged trace of real worker
-                processes (and attaches measured wall clock to --json)
-  --transport T    distributed backend only: fork (default) | tcp
-  --dist-workers N distributed backend only: worker processes (0 = auto)
+                analytic. Analytic is the natural choice for sweeps —
+                verdicts are pure trace queries, and the analytic backend
+                answers them from closed forms or one memoized cost trace
+                instead of re-running the kernel per point
   --quiet       suppress progress lines on stderr
   --help        this text
 )";
@@ -445,8 +410,6 @@ int cmd_certify(const std::vector<std::string>& args) {
         if (flag == "--campaign") campaign_args.campaign = value;
         if (flag == "--spec") campaign_args.spec = value;
         if (flag == "--backend") campaign_args.backend = value;
-        if (flag == "--transport") campaign_args.transport = value;
-        if (flag == "--dist-workers") campaign_args.dist_workers = value;
         if (flag == "--json") json_path = value;
         if (flag == "--quiet") quiet = true;
       });
@@ -747,10 +710,8 @@ must report identical H cells under every engine and every backend. With
 With --golden DIR, `nobl check` instead replays the golden campaign against
 the archived trace fixtures in DIR: for every (algorithm, n) sweep the CSV
 fixture and its binary .nbt twin must carry identical traces, and every
-backend the kernel supports (simulate / cost / record / analytic /
-distributed) must reproduce the golden H surface bit-for-bit at every fold
-and σ. --transport selects the distributed backend's worker channel for
-those replays.
+backend the kernel supports (simulate / cost / record / analytic) must
+reproduce the golden H surface bit-for-bit at every fold and σ.
 
 With --serve-stats, `nobl check` instead validates a `nobl serve --stats`
 document (schema + every promised metrics field) and, with
@@ -768,8 +729,6 @@ Options:
                            `nobl serve --campaign ... --json`)
   --thresholds FILE        thresholds document (see bench/thresholds/)
   --golden DIR             replay csv + binary golden traces, all backends
-  --transport T            with --golden: run the distributed-backend
-                           replays over T, fork (default) | tcp
   --serve-stats FILE       stats document from `nobl serve --stats`
   --serve-thresholds FILE  bounds for the stats document: min_hit_rate,
                            min_memory_hits, min_disk_hits, max_executed,
@@ -787,13 +746,9 @@ on stderr).
 /// twins must agree, and each supported backend's live run must reproduce
 /// the golden H cells bit-identically (the acceptance gate CI runs against
 /// tests/golden/).
-int check_golden(const std::string& dir, const std::string& transport) {
+int check_golden(const std::string& dir) {
   std::vector<std::string> violations;
   const CampaignSpec spec = builtin_campaign("golden");
-  dist::DistConfig dist;
-  if (!transport.empty()) {
-    dist.transport = dist::transport_from_string(transport);
-  }
   for (const AlgoSweep& sweep : spec.sweeps) {
     const AlgoEntry& entry = AlgoRegistry::instance().at(sweep.algorithm);
     for (const std::uint64_t n : sweep.sizes) {
@@ -822,9 +777,8 @@ int check_golden(const std::string& dir, const std::string& transport) {
       }
       for (const BackendKind backend : all_backend_kinds()) {
         if (!entry.supports(backend)) continue;
-        RunOptions options{ExecutionPolicy::sequential(), backend};
-        options.dist = dist;
-        const Trace live = entry.runner(n, options);
+        const Trace live = entry.runner(
+            n, RunOptions{ExecutionPolicy::sequential(), backend});
         for (const std::uint64_t p : pow2_range(golden.v())) {
           const unsigned log_p = log2_exact(p);
           for (const double sigma : sigma_grid(n, p)) {
@@ -854,7 +808,6 @@ int cmd_check(const std::vector<std::string>& args) {
   std::string results_path;
   std::string thresholds_path;
   std::string golden_dir;
-  std::string transport;
   std::string serve_stats_path;
   std::string serve_thresholds_path;
   const std::optional<int> early = parse_flags(
@@ -863,7 +816,6 @@ int cmd_check(const std::vector<std::string>& args) {
         if (flag == "--results") results_path = value;
         if (flag == "--thresholds") thresholds_path = value;
         if (flag == "--golden") golden_dir = value;
-        if (flag == "--transport") transport = value;
         if (flag == "--serve-stats") serve_stats_path = value;
         if (flag == "--serve-thresholds") serve_thresholds_path = value;
       });
@@ -874,10 +826,7 @@ int cmd_check(const std::vector<std::string>& args) {
       return usage_error("--golden is exclusive with the other check modes",
                          "check");
     }
-    return check_golden(golden_dir, transport);
-  }
-  if (!transport.empty()) {
-    return usage_error("--transport needs --golden DIR", "check");
+    return check_golden(golden_dir);
   }
   if (!serve_stats_path.empty()) {
     if (!results_path.empty() || !thresholds_path.empty()) {

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "bsp/backend.hpp"
-#include "bsp/ir_opt.hpp"
 #include "core/registry.hpp"
 #include "util/bits.hpp"
 
@@ -130,6 +129,14 @@ AnalyticBackend& AnalyticBackend::instance() {
   return backend;
 }
 
+namespace {
+
+Trace cost_trace(const AlgoEntry& entry, std::uint64_t n) {
+  return entry.runner(n, RunOptions{BackendKind::kCost});
+}
+
+}  // namespace
+
 Trace AnalyticBackend::trace_for(const AlgoEntry& entry, std::uint64_t n) {
   if (entry.analytic != nullptr) {
     {
@@ -139,15 +146,12 @@ Trace AnalyticBackend::trace_for(const AlgoEntry& entry, std::uint64_t n) {
     return entry.analytic(n);
   }
   if (entry.input_independent) return memoized_trace(entry, n);
-  // Data-dependent kernel (samplesort): no closed form, no cache — run the
-  // message-storage-free cost interpreter, which is still bit-identical.
+  // Data-dependent kernel (samplesort): no closed form, no cache.
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.fallbacks;
   }
-  RunOptions fallback;
-  fallback.backend = BackendKind::kCost;
-  return entry.runner(n, fallback);
+  return cost_trace(entry, n);
 }
 
 Trace AnalyticBackend::memoized_trace(const AlgoEntry& entry,
@@ -155,39 +159,31 @@ Trace AnalyticBackend::memoized_trace(const AlgoEntry& entry,
   if (!entry.input_independent) {
     throw std::invalid_argument(
         entry.name +
-        ": schedule memoization refused — the kernel is data-dependent "
+        ": trace memoization refused — the kernel is data-dependent "
         "(input_independent = false), so a cached trace would pin one "
         "input's degrees");
   }
-  const std::string key = entry.name + "/" + std::to_string(n);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = key_cache_.find(key);
-  if (it != key_cache_.end()) {
-    ++stats_.memo_hits;
-    return trace_cache_.at(it->second);
+  std::string key = entry.name + "/" + std::to_string(n);
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = memo_.find(key);
+    if (it != memo_.end()) {
+      ++stats_.memo_hits;
+      return it->second;
+    }
+    ++stats_.memo_misses;
   }
-  ++stats_.memo_misses;
-  Schedule schedule;
-  RunOptions record_options;
-  record_options.backend = BackendKind::kRecord;
-  record_options.capture = &schedule;
-  (void)entry.runner(n, record_options);
-  // Content addressing: the stored trace is keyed by the schedule's
-  // columnar content, so two keys recording identical blocks share one
-  // entry (and the second skips the optimize/replay pass).
-  const std::uint64_t hash = schedule.content_hash();
-  key_cache_.emplace(std::move(key), hash);
-  const auto cached = trace_cache_.find(hash);
-  if (cached != trace_cache_.end()) return cached->second;
-  Trace trace = optimize_schedule(schedule).replay_trace();
-  trace_cache_.emplace(hash, trace);
-  return trace;
+  // Fill outside the lock so a long cost run does not stall queries for
+  // other keys. A racing fill of the same key computes the identical trace,
+  // and the first insert wins.
+  Trace trace = cost_trace(entry, n);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return memo_.emplace(std::move(key), std::move(trace)).first->second;
 }
 
 void AnalyticBackend::clear() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  key_cache_.clear();
-  trace_cache_.clear();
+  memo_.clear();
   stats_ = Stats{};
 }
 

@@ -1,10 +1,9 @@
-// AnalyticBackend: the cost-optimizer dispatch behind `--backend analytic`.
+// AnalyticBackend: the dispatch behind `--backend analytic`.
 //
 // The paper's central claim — H_A(n, p, σ) is a static property of the
 // communication pattern, not of any particular execution — makes most cost
 // queries answerable without executing a single message. The registry
-// routes BackendKind::kAnalytic here, and the dispatch picks the cheapest
-// sound path per kernel:
+// routes BackendKind::kAnalytic here, and the dispatch has two tiers:
 //
 //   1. Closed-form short-circuit. Kernels whose predicted H is *exact*
 //      (reduce, gather, shift, scan, transpose, broadcast) carry a trace
@@ -15,19 +14,17 @@
 //      communication_complexity() arithmetic and stay bit-identical to
 //      every executed backend (the `nobl check` conformance invariant).
 //
-//   2. Schedule memoization. Other input-independent kernels (everything
-//      except samplesort) are recorded once per (kernel, n) — the machine
-//      size v is a function of the pair — optimized by the IR pass
-//      (bsp/ir_opt.hpp), and the replayed trace is cached, so a σ- or
-//      fold-sweep pays one execution total instead of one per point.
+//   2. Cost. Every other kernel runs under the plain cost backend. For
+//      input-independent kernels (everything except samplesort) the trace
+//      is memoized per (kernel, n) — the machine size v is a function of
+//      the pair — so a σ- or fold-sweep, or a server answering the same
+//      analytic cell again, pays one execution total. Data-dependent
+//      kernels (samplesort: routing degrees follow the key distribution)
+//      opt out via AlgoEntry::input_independent = false and are
+//      re-executed on every query; memoized_trace() *refuses* them —
+//      caching them would silently pin one input's degrees.
 //
-//   3. Fallback. Data-dependent kernels (samplesort: routing degrees
-//      follow the key distribution) opt out via
-//      AlgoEntry::input_independent = false; the dispatch executes them
-//      under the plain cost backend. memoized_trace() *refuses* such
-//      kernels — caching them would silently pin one input's degrees.
-//
-// All three paths produce traces bit-identical to simulate/cost/record;
+// Both tiers produce traces bit-identical to simulate/cost/record;
 // tests/core/test_analytic.cpp holds the differential checks.
 #pragma once
 
@@ -74,38 +71,34 @@ namespace analytic {
 
 }  // namespace analytic
 
-/// The analytic backend: closed-form short-circuit + schedule memo cache.
+/// The analytic backend: closed-form short-circuit + cost-trace memo.
 /// Process-wide (campaign cells for the same kernel arrive one by one);
 /// thread-safe for concurrent trace queries.
 class AnalyticBackend {
  public:
   struct Stats {
     std::uint64_t symbolic = 0;     ///< closed-form synthesizer answers
-    std::uint64_t memo_hits = 0;    ///< cache hits (no execution at all)
-    std::uint64_t memo_misses = 0;  ///< record + optimize + replay fills
+    std::uint64_t memo_hits = 0;    ///< memo answers (no execution at all)
+    std::uint64_t memo_misses = 0;  ///< cost executions that filled the memo
     std::uint64_t fallbacks = 0;    ///< data-dependent cost executions
   };
 
   [[nodiscard]] static AnalyticBackend& instance();
 
   /// Full analytic dispatch for one (kernel, n) query: symbolic when the
-  /// entry has a synthesizer, memoized record/replay when it is
-  /// input-independent, cost execution otherwise. Admissibility is the
-  /// caller's (the registry wrapper's) responsibility.
+  /// entry has a synthesizer, memoized cost trace when it is
+  /// input-independent, plain cost execution otherwise. Admissibility is
+  /// the caller's (the registry wrapper's) responsibility.
   [[nodiscard]] Trace trace_for(const AlgoEntry& entry, std::uint64_t n);
 
-  /// The memoization path alone: record once, optimize (bsp/ir_opt.hpp),
-  /// cache the replayed trace content-addressed. The cache is two-level —
-  /// "<kernel>/<n>" resolves to the recorded Schedule's content_hash(),
-  /// which keys the stored trace — so a (kernel, n) hit still skips
-  /// execution entirely, while kernels that record identical columnar
-  /// blocks (e.g. the same pattern at two registry names) share one
-  /// stored trace. Throws std::invalid_argument for kernels with
+  /// The memo tier alone: the first query for "<kernel>/<n>" runs the
+  /// kernel under the cost backend and caches the trace; later queries
+  /// return the cached copy. Throws std::invalid_argument for kernels with
   /// input_independent == false — a memoized data-dependent trace would
   /// silently pin one input's degrees.
   [[nodiscard]] Trace memoized_trace(const AlgoEntry& entry, std::uint64_t n);
 
-  /// Drop every cached schedule/trace and zero the stats (tests).
+  /// Drop every cached trace and zero the stats (tests).
   void clear();
 
   [[nodiscard]] Stats stats() const;
@@ -114,11 +107,8 @@ class AnalyticBackend {
   AnalyticBackend() = default;
 
   mutable std::mutex mutex_;
-  /// Level 1: "<kernel>/<n>" -> content hash of the schedule it records.
-  std::unordered_map<std::string, std::uint64_t> key_cache_;
-  /// Level 2: content hash -> replayed trace (shared across keys whose
-  /// recorded schedules carry identical columnar blocks).
-  std::unordered_map<std::uint64_t, Trace> trace_cache_;
+  /// "<kernel>/<n>" -> the kernel's cost trace at that size.
+  std::unordered_map<std::string, Trace> memo_;
   Stats stats_;
 };
 

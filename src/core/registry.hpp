@@ -10,11 +10,10 @@
 //   * its closed-form predicted cost (Section 4 upper bounds) and the
 //     matching lower bound, both as CostFormula (n, p, σ) -> value,
 //   * the size sweeps its bench and the CI smoke campaign use,
-//   * the backends it supports (every kernel is a Program, so all five:
-//     simulate / cost / record / distributed, plus the analytic
-//     cost-optimizer path —
-//     exact kernels answer symbolically, input-independent ones through
-//     the schedule memo cache, data-dependent ones by cost fallback; see
+//   * the backends it supports (every kernel is a Program, so all four:
+//     simulate / cost / record, plus the analytic path — exact kernels
+//     answer symbolically, the others through the cost interpreter, whose
+//     trace is memoized for input-independent kernels; see
 //     core/analytic.hpp),
 //   * catalog metadata (pattern class, H formula, defining header,
 //     exactness and input-independence flags) that `nobl list --json`
@@ -69,8 +68,8 @@ struct AlgoEntry {
   /// backend answers them without executing a message.
   bool exact_h = false;
   /// False for kernels whose degrees depend on the input values
-  /// (samplesort): the analytic backend's schedule memo cache refuses
-  /// them and falls back to cost execution.
+  /// (samplesort): the analytic backend's trace memo refuses them and
+  /// re-executes them under cost on every query.
   bool input_independent = true;
   /// Closed-form trace synthesizer (core/analytic.hpp); set iff exact_h.
   Trace (*analytic)(std::uint64_t n) = nullptr;

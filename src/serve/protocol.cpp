@@ -132,11 +132,10 @@ std::string render_stats_doc(const ServeStats& stats) {
   w.key("inflight").value(stats.inflight);
   w.end_object();
   w.key("backends").begin_object();
-  w.key("simulate").value(stats.backend_cells[0]);
-  w.key("cost").value(stats.backend_cells[1]);
-  w.key("record").value(stats.backend_cells[2]);
-  w.key("analytic").value(stats.backend_cells[3]);
-  w.key("distributed").value(stats.backend_cells[4]);
+  for (const BackendKind kind : all_backend_kinds()) {
+    w.key(to_string(kind))
+        .value(stats.backend_cells[static_cast<std::size_t>(kind)]);
+  }
   w.end_object();
   w.key("latency_ms").begin_object();
   w.key("window").value(stats.latency_count);

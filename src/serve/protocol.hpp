@@ -31,10 +31,13 @@
 // (ordered only under a single worker) and `done` is always last.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
+
+#include "bsp/backend.hpp"
 
 namespace nobl::serve {
 
@@ -135,9 +138,9 @@ struct ServeStats {
   std::uint64_t workers = 0;
   std::uint64_t inflight = 0;        ///< cells executing right now
 
-  /// Completed cells per backend, indexed like all_backend_kinds():
-  /// simulate, cost, record, analytic, distributed.
-  std::uint64_t backend_cells[5] = {0, 0, 0, 0, 0};
+  /// Completed cells per backend, indexed by BackendKind's value (the
+  /// order of all_backend_kinds()).
+  std::array<std::uint64_t, kBackendCount> backend_cells{};
 
   // Cell latency (enqueue -> response written), over a sliding window of
   // the most recent kLatencyWindow cells.

@@ -186,12 +186,8 @@ void ServeCore::process(const Cell& cell) {
     const std::shared_ptr<const Trace> trace = cache_.get_or_compute(
         key,
         [&cell] {
-          // No Measurement sink here: served cells never carry wall-clock
-          // timing, so a cache-hit response stays byte-identical to a
-          // freshly-executed one (the cold/hot cmp gate in CI).
-          RunOptions options{cell.policy, cell.backend};
-          options.dist = cell.request->spec->dist;
-          return cell.entry->runner(cell.n, options);
+          return cell.entry->runner(cell.n,
+                                    RunOptions{cell.policy, cell.backend});
         },
         &tier);
     // The exact metric/JSON path of `nobl run`: a cache-hit cell and a
@@ -289,7 +285,7 @@ ServeStats ServeCore::stats() const {
     s.requests = requests_;
     s.rejected = rejected_;
     s.cells_total = cells_total_;
-    for (std::size_t i = 0; i < 5; ++i) s.backend_cells[i] = backend_cells_[i];
+    s.backend_cells = backend_cells_;
     const std::size_t count =
         std::min<std::uint64_t>(latency_seen_, latency_ring_.size());
     window.assign(latency_ring_.begin(),
@@ -636,9 +632,9 @@ std::vector<std::string> validate_serve_stats(const JsonValue& doc) {
   if (backends == nullptr || !backends->is_object()) {
     out.push_back("stats: missing object \"backends\"");
   } else {
-    for (const char* key :
-         {"simulate", "cost", "record", "analytic", "distributed"}) {
-      require_number_at(*backends, key, "stats.backends", &out);
+    for (const BackendKind kind : all_backend_kinds()) {
+      require_number_at(*backends, to_string(kind).c_str(), "stats.backends",
+                        &out);
     }
   }
   const JsonValue* latency = stats->find("latency_ms");

@@ -27,6 +27,7 @@
 //                client on an unbounded backlog.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -139,7 +140,7 @@ class ServeCore {
   std::uint64_t requests_ = 0;
   std::uint64_t rejected_ = 0;
   std::uint64_t cells_total_ = 0;
-  std::uint64_t backend_cells_[5] = {0, 0, 0, 0, 0};
+  std::array<std::uint64_t, kBackendCount> backend_cells_{};
   std::vector<double> latency_ring_;
   std::size_t latency_next_ = 0;
   std::uint64_t latency_seen_ = 0;

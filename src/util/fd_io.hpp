@@ -1,5 +1,4 @@
-// EINTR-safe file-descriptor I/O, shared by the serve layer and the
-// distributed backend's channels.
+// EINTR-safe file-descriptor I/O for the serve layer's sockets.
 //
 // POSIX send()/recv() return -1 with errno == EINTR when a signal lands
 // mid-call; treating that as a closed connection (or silently dropping the

@@ -78,6 +78,13 @@ TEST(CampaignSpec, BadEngineAndKeyAndFold) {
   expect_parse_error("algorithms = fft\nengines = gpu\n",
                      "unknown engine \"gpu\"");
   expect_parse_error("algorithms = fft\nspeed = fast\n", "unknown key");
+  // The message lists the valid keys.
+  expect_parse_error("algorithms = fft\ntransport = tcp\n",
+                     "unknown key \"transport\"");
+  expect_parse_error("algorithms = fft\ndist_workers = 4\n",
+                     "unknown key \"dist_workers\"");
+  expect_parse_error("algorithms = fft\ndist_workers = 4\n",
+                     "sigmas | max_fold)");
   expect_parse_error("algorithms = fft\nmax_fold = 3\n", "power of two");
   expect_parse_error("algorithms = fft\nmax_fold = banana\n",
                      "unsigned integer");
@@ -295,6 +302,8 @@ TEST(CampaignSpec, BackendsKeyParsed) {
   expect_parse_error("algorithms = fft\nbackends = gpu\n",
                      "unknown backend \"gpu\"");
   expect_parse_error("algorithms = fft\nbackends = gpu\n", "line 2");
+  expect_parse_error("algorithms = fft\nbackends = cost, distributed\n",
+                     "unknown backend \"distributed\"");
   expect_parse_error("algorithms = fft\nbackends = cost,\n",
                      "empty backend entry");
 }

@@ -1,4 +1,4 @@
-// Negative-path coverage for numeric and distributed-backend flags.
+// Negative-path coverage for numeric flags and removed backend flags.
 // Regression: --n / --workers / --queue / --memory-entries went through
 // bare std::stoull/std::stoul, so "12x" silently truncated to 12 and
 // "banana" died with an unhandled std::invalid_argument("stoull") that
@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <sys/wait.h>
 
 namespace {
@@ -56,8 +57,6 @@ TEST(FlagParsing, MalformedNumbersAreRejectedWithTheFlagName) {
                   "--queue", "1e3");
   expect_rejected("serve --socket /tmp/nobl-absent.sock --memory-entries 12x",
                   "--memory-entries", "12x");
-  expect_rejected("run --campaign golden --dist-workers three",
-                  "--dist-workers", "three");
 }
 
 TEST(FlagParsing, OutOfRangeCountsAreRejected) {
@@ -65,25 +64,40 @@ TEST(FlagParsing, OutOfRangeCountsAreRejected) {
       run_cli("serve --socket /tmp/nobl-absent.sock --workers 4096");
   EXPECT_EQ(workers.exit_code, 2);
   EXPECT_NE(workers.text.find("--workers"), std::string::npos);
-  const CommandOutput dist =
-      run_cli("run --campaign golden --dist-workers 4096");
-  EXPECT_EQ(dist.exit_code, 2);
-  EXPECT_NE(dist.text.find("--dist-workers"), std::string::npos);
 }
 
-TEST(FlagParsing, UnknownTransportNamesTheValidOnes) {
-  const CommandOutput out =
-      run_cli("run --campaign golden --transport carrier-pigeon");
-  EXPECT_EQ(out.exit_code, 2);
-  EXPECT_NE(out.text.find("carrier-pigeon"), std::string::npos);
-  EXPECT_NE(out.text.find("fork"), std::string::npos);
-  EXPECT_NE(out.text.find("tcp"), std::string::npos);
+TEST(FlagParsing, UnknownBackendNamesTheValidOnes) {
+  for (const char* args : {"run --campaign golden --backend carrier-pigeon",
+                           "run --campaign golden --backend distributed",
+                           "certify --campaign golden --backend dist"}) {
+    const CommandOutput out = run_cli(args);
+    EXPECT_EQ(out.exit_code, 2) << args;
+    EXPECT_NE(out.text.find("unknown backend"), std::string::npos) << args;
+    for (const char* valid : {"simulate", "cost", "record", "analytic"}) {
+      EXPECT_NE(out.text.find(valid), std::string::npos)
+          << "`" << args << "` must list " << valid << ", got: " << out.text;
+    }
+  }
 }
 
-TEST(FlagParsing, CheckTransportRequiresGoldenMode) {
-  const CommandOutput out = run_cli("check --transport tcp");
-  EXPECT_EQ(out.exit_code, 2);
-  EXPECT_NE(out.text.find("--golden"), std::string::npos);
+TEST(FlagParsing, UnregisteredFlagsAreUnknownOptions) {
+  // Flags a subcommand does not register are refused as unknown options,
+  // never silently ignored.
+  const std::pair<std::string, std::string> cases[] = {
+      {"run --campaign golden --transport tcp", "--transport"},
+      {"run --campaign golden --dist-workers 4", "--dist-workers"},
+      {"certify --campaign golden --transport fork", "--transport"},
+      {"certify --campaign golden --dist-workers 2", "--dist-workers"},
+      {"check --golden tests/golden --transport tcp", "--transport"},
+  };
+  for (const auto& [args, flag] : cases) {
+    const CommandOutput out = run_cli(args);
+    EXPECT_EQ(out.exit_code, 2) << args << "\n" << out.text;
+    EXPECT_NE(out.text.find("unknown option \"" + flag + "\""),
+              std::string::npos)
+        << "`" << args << "` must name " << flag << ", got: " << out.text;
+    EXPECT_NE(out.text.find("--help"), std::string::npos) << args;
+  }
 }
 
 }  // namespace

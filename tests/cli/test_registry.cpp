@@ -65,11 +65,10 @@ TEST(Registry, EntriesAreWellFormed) {
       EXPECT_TRUE(entry.admits(n)) << entry.name << " smoke n=" << n;
       EXPECT_LE(n, entry.max_sweep_size) << entry.name << " smoke n=" << n;
     }
-    // Every kernel is a Program: all five backends must be supported
-    // (analytic included — it falls back to cost for data-dependent
-    // kernels, so it is never refused at the registry level — and
-    // distributed, whose shards drive the same program).
-    EXPECT_EQ(entry.backends.size(), 5u) << entry.name;
+    // Every kernel is a Program: every backend must be supported
+    // (analytic included — it runs data-dependent kernels under cost, so
+    // it is never refused at the registry level).
+    EXPECT_EQ(entry.backends.size(), kBackendCount) << entry.name;
     for (const BackendKind kind : all_backend_kinds()) {
       EXPECT_TRUE(entry.supports(kind)) << entry.name;
     }

@@ -1,6 +1,6 @@
 // The analytic backend (core/analytic.hpp): closed-form synthesizers must
-// reproduce the executed kernels' traces bit for bit, the schedule memo
-// cache must replay exactly what a fresh recording produces, H must agree
+// reproduce the executed kernels' traces bit for bit, the trace memo must
+// return exactly what fresh cost and record runs produce, H must agree
 // across analytic / cost / simulate on every (kernel, n, fold, σ) cell, and
 // the data-dependent kernel must be refused by the cache (while still being
 // answerable through the cost fallback).
@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <random>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "bsp/backend.hpp"
@@ -87,27 +88,62 @@ TEST(Analytic, HAgreesAcrossAnalyticCostSimulateEverywhere) {
   }
 }
 
-TEST(Analytic, MemoizedReplayEqualsFreshRecording) {
+TEST(Analytic, MemoizedTraceEqualsCostAndRecordForEveryMemoKernel) {
+  // Every kernel on the memo tier (no closed form, input-independent): the
+  // first query runs cost and fills the memo, the second is a pure hit, and
+  // both are bit-identical to fresh cost and record runs.
   AnalyticBackend& backend = AnalyticBackend::instance();
   backend.clear();
-  for (const char* name : {"matmul", "fft", "bitonic"}) {
-    const AlgoEntry& entry = AlgoRegistry::instance().at(name);
-    ASSERT_EQ(entry.analytic, nullptr) << name;  // memo path, not symbolic
-    ASSERT_TRUE(entry.input_independent) << name;
+  std::size_t memo_kernels = 0;
+  for (const AlgoEntry& entry : AlgoRegistry::instance().entries()) {
+    if (entry.analytic != nullptr || !entry.input_independent) continue;
+    ++memo_kernels;
     const std::uint64_t n = entry.smoke_sizes.front();
-    SCOPED_TRACE(std::string(name) + " n=" + std::to_string(n));
-    const Trace memoized = backend.memoized_trace(entry, n);
-    expect_traces_identical(run_backend(entry, n, BackendKind::kRecord),
-                            memoized);
-    // Second query is a pure cache hit and returns the identical trace.
-    expect_traces_identical(memoized, backend.memoized_trace(entry, n));
+    SCOPED_TRACE(entry.name + " n=" + std::to_string(n));
+    const AnalyticBackend::Stats before = backend.stats();
+    const Trace filled = backend.memoized_trace(entry, n);
+    const Trace hit = backend.memoized_trace(entry, n);
+    const AnalyticBackend::Stats after = backend.stats();
+    EXPECT_EQ(after.memo_misses - before.memo_misses, 1u);
+    EXPECT_EQ(after.memo_hits - before.memo_hits, 1u);
+    const Trace cost = run_backend(entry, n, BackendKind::kCost);
+    expect_traces_identical(cost, filled);
+    expect_traces_identical(cost, hit);
+    expect_traces_identical(run_backend(entry, n, BackendKind::kRecord), hit);
   }
-  const AnalyticBackend::Stats stats = backend.stats();
-  EXPECT_EQ(stats.memo_misses, 3u);
-  EXPECT_EQ(stats.memo_hits, 3u);
+  EXPECT_EQ(memo_kernels, 7u);
+  EXPECT_EQ(backend.stats().symbolic, 0u);
+  EXPECT_EQ(backend.stats().fallbacks, 0u);
 }
 
-TEST(Analytic, DataDependentKernelIsRefusedByTheMemoCache) {
+TEST(Analytic, ConcurrentQueriesOfOneKeyAgreeWithCost) {
+  // A fill runs outside the memo's lock, so threads racing on one key may
+  // each miss and run cost; every one must return the cost trace, and once
+  // the memo holds the key every later query is a hit.
+  AnalyticBackend& backend = AnalyticBackend::instance();
+  backend.clear();
+  const AlgoEntry& fft = AlgoRegistry::instance().at("fft");
+  const std::uint64_t n = fft.smoke_sizes.front();
+  std::vector<Trace> results(4);
+  {
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      threads.emplace_back([&backend, &fft, &results, i, n] {
+        results[i] = backend.memoized_trace(fft, n);
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+  }
+  const Trace cost = run_backend(fft, n, BackendKind::kCost);
+  for (const Trace& trace : results) expect_traces_identical(cost, trace);
+  const AnalyticBackend::Stats stats = backend.stats();
+  EXPECT_EQ(stats.memo_hits + stats.memo_misses, results.size());
+  EXPECT_GE(stats.memo_misses, 1u);
+  expect_traces_identical(cost, backend.memoized_trace(fft, n));
+  EXPECT_EQ(backend.stats().memo_hits, stats.memo_hits + 1);
+}
+
+TEST(Analytic, DataDependentKernelIsRefusedByTheMemo) {
   AnalyticBackend& backend = AnalyticBackend::instance();
   backend.clear();
   const AlgoEntry& samplesort = AlgoRegistry::instance().at("samplesort");
@@ -117,12 +153,16 @@ TEST(Analytic, DataDependentKernelIsRefusedByTheMemoCache) {
   // cache must refuse outright ...
   EXPECT_THROW((void)backend.memoized_trace(samplesort, n),
                std::invalid_argument);
-  // ... but the analytic backend still answers, via the cost fallback, with
-  // the exact executed trace.
-  expect_traces_identical(run_backend(samplesort, n, BackendKind::kCost),
+  // ... but the analytic backend still answers, by running cost on every
+  // query, with the exact executed trace.
+  const Trace cost = run_backend(samplesort, n, BackendKind::kCost);
+  expect_traces_identical(cost,
                           run_backend(samplesort, n, BackendKind::kAnalytic));
-  EXPECT_GE(backend.stats().fallbacks, 1u);
+  expect_traces_identical(cost,
+                          run_backend(samplesort, n, BackendKind::kAnalytic));
+  EXPECT_EQ(backend.stats().fallbacks, 2u);
   EXPECT_EQ(backend.stats().memo_hits, 0u);
+  EXPECT_EQ(backend.stats().memo_misses, 0u);
 }
 
 TEST(Analytic, StatsDistinguishTheThreeDispatchPaths) {
@@ -136,8 +176,8 @@ TEST(Analytic, StatsDistinguishTheThreeDispatchPaths) {
   (void)run_backend(fft, fft.smoke_sizes.front(), BackendKind::kAnalytic);
   const AnalyticBackend::Stats stats = backend.stats();
   EXPECT_EQ(stats.symbolic, 1u);     // scan has a closed form
-  EXPECT_EQ(stats.memo_misses, 1u);  // first fft query records once
-  EXPECT_EQ(stats.memo_hits, 1u);    // second fft query replays the cache
+  EXPECT_EQ(stats.memo_misses, 1u);  // first fft query runs cost once
+  EXPECT_EQ(stats.memo_hits, 1u);    // second fft query is a memo hit
   EXPECT_EQ(stats.fallbacks, 0u);
 }
 

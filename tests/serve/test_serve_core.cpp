@@ -172,6 +172,19 @@ TEST(ServeCore, MalformedSpecAnswersBadRequest) {
   EXPECT_FALSE(docs[0].at("retryable").as_bool());
   EXPECT_NE(docs[0].at("message").as_string().find("warp-sort"),
             std::string::npos);
+  // An unknown backend is a spec error like any other: non-retryable, and
+  // the message lists the valid backends.
+  Collector removed;
+  core.submit(11, "algorithms = fft:64\nbackends = distributed\n",
+              removed.sink());
+  const JsonValue removed_doc = removed.docs().at(0);
+  EXPECT_EQ(removed_doc.at("code").as_string(), "bad_request");
+  EXPECT_FALSE(removed_doc.at("retryable").as_bool());
+  EXPECT_NE(removed_doc.at("message").as_string().find(
+                "unknown backend \"distributed\""),
+            std::string::npos);
+  EXPECT_NE(removed_doc.at("message").as_string().find("analytic"),
+            std::string::npos);
   // The parser's footprint gates are the same ones `nobl run` enforces.
   Collector oversized;
   core.submit(10, std::string(kMaxRequestBytes + 1, '#'), oversized.sink());
@@ -294,8 +307,10 @@ TEST(ServeCore, StatsReflectServedTraffic) {
   EXPECT_EQ(stats.executed, 2u);
   EXPECT_EQ(stats.memory_hits, 2u);
   EXPECT_EQ(stats.hit_rate, 0.5);
-  EXPECT_EQ(stats.backend_cells[0], 2u);  // simulate
-  EXPECT_EQ(stats.backend_cells[3], 2u);  // analytic
+  const auto simulate = static_cast<std::size_t>(BackendKind::kSimulate);
+  const auto analytic = static_cast<std::size_t>(BackendKind::kAnalytic);
+  EXPECT_EQ(stats.backend_cells[simulate], 2u);
+  EXPECT_EQ(stats.backend_cells[analytic], 2u);
   EXPECT_EQ(stats.queue_capacity, 64u);
   EXPECT_EQ(stats.workers, 2u);
   EXPECT_EQ(stats.latency_count, 4u);

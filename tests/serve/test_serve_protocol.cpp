@@ -110,8 +110,18 @@ TEST(Protocol, StatsDocPassesItsOwnValidator) {
   stats.memory_hits = 4;
   stats.disk_hits = 1;
   stats.hit_rate = 0.5;
+  stats.backend_cells[static_cast<std::size_t>(BackendKind::kAnalytic)] = 3;
   const JsonValue doc = JsonValue::parse(render_stats_doc(stats));
   EXPECT_TRUE(validate_serve_stats(doc).empty());
+  // One counter per backend name, keyed by to_string(kind) — nothing else.
+  const JsonValue::Object& backends =
+      doc.at("stats").at("backends").as_object();
+  EXPECT_EQ(backends.size(), kBackendCount);
+  for (const BackendKind kind : all_backend_kinds()) {
+    EXPECT_EQ(backends.count(to_string(kind)), 1u) << to_string(kind);
+  }
+  EXPECT_EQ(backends.at("analytic").as_number(), 3);
+  EXPECT_EQ(backends.count("distributed"), 0u);
 }
 
 TEST(Protocol, ValidatorRejectsMissingFields) {
