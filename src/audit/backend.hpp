@@ -31,6 +31,7 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "audit/taint.hpp"
@@ -206,11 +207,11 @@ class AuditBackend {
   }
 
   /// Finish the run: attribute any post-superstep declassifications (final
-  /// host mirrors) and return the report. The backend may not drive further
-  /// supersteps through the returned snapshot's run.
+  /// host mirrors) and move the report out. The backend may not drive
+  /// further supersteps afterwards.
   [[nodiscard]] AuditReport take_report() {
     report_.trailing_declassifications += take_declassifications();
-    return report_;
+    return std::move(report_);
   }
 
  private:

@@ -170,12 +170,11 @@ KernelVerdict audit_kernel(const AlgoEntry& entry, std::uint64_t n) {
   RunOptions record;
   record.backend = BackendKind::kRecord;
   record.capture = &schedule;
-  (void)entry.runner(n, record);
-  verdict.lint = lint_schedule(schedule);
+  const Trace trace = entry.runner(n, record);
+  verdict.lint = lint_schedule(schedule, trace);
   merge_into(verdict.lint,
-             lint_against_formulas(schedule.replay_trace(), n, entry.predicted,
-                                   entry.lower_bound, entry.exact_h,
-                                   entry.name));
+             lint_against_formulas(trace, n, entry.predicted, entry.lower_bound,
+                                   entry.exact_h, entry.name));
   return verdict;
 }
 

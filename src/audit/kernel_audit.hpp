@@ -18,7 +18,11 @@
 //      the D-BSP specification model: per-label cluster containment,
 //      dummy-traffic discipline, local-fold degree structure, and the
 //      registry's predict::/lb:: formulas (exact for exact_h kernels, an
-//      envelope otherwise) — audit/schedule_lint.hpp.
+//      envelope otherwise) — audit/schedule_lint.hpp. The pass executes
+//      the program once under record and replays the schedule once: the
+//      runner returns the replayed trace and moves (never copies) the
+//      schedule into RunOptions::capture, and both the event/degree lint
+//      and the formula reconciliation read that one trace.
 //
 // Default audit size: the kernel's first smoke size, the same size the CI
 // smoke campaign exercises.

@@ -53,8 +53,20 @@ struct ScheduleLintReport {
 };
 
 /// Event-level checks (ranges, containment, dummy discipline) plus the
-/// degree-structure checks on the schedule's replayed trace.
+/// degree-structure checks on the schedule's replayed trace. The replay
+/// runs only when the event checks come back clean: replay_trace() throws
+/// on the out-of-range labels they report.
 [[nodiscard]] ScheduleLintReport lint_schedule(const Schedule& schedule);
+
+/// The same rules, in the same order, with the replay supplied: `trace`
+/// must be `schedule.replay_trace()` (or the trace of the run that recorded
+/// the schedule — bit-identical). The audit lints each kernel from one
+/// record run and one replay this way: run_for_trace returns the replayed
+/// trace and moves the schedule into RunOptions::capture, and that one
+/// trace feeds both this lint and lint_against_formulas. The degree checks
+/// still run only when the event checks are clean.
+[[nodiscard]] ScheduleLintReport lint_schedule(const Schedule& schedule,
+                                               const Trace& trace);
 
 /// Degree-structure checks alone: per-step, degree[j] == 0 for j <= label
 /// and degree[j] <= 2 degree[j+1]. Valid on any trace, including ones read

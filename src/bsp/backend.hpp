@@ -98,9 +98,10 @@ class TraceWriter;
 struct RunOptions {
   ExecutionPolicy policy{};
   BackendKind backend = BackendKind::kSimulate;
-  /// When non-null and backend == kRecord, run_for_trace copies the
-  /// captured Schedule here — the seam the audit layer uses to lint a
-  /// kernel's recorded communication pattern.
+  /// When non-null and backend == kRecord, run_for_trace moves the
+  /// captured Schedule here after replaying it — the seam the audit layer
+  /// uses to lint a kernel's recorded communication pattern from the same
+  /// record run and replay that produced the returned trace.
   Schedule* capture = nullptr;
 
   RunOptions() = default;
@@ -461,6 +462,13 @@ class RecordBackend : public CostBackend {
 
   [[nodiscard]] const Schedule& schedule() const noexcept { return schedule_; }
 
+  /// Move the captured schedule out and stop capturing: later supersteps
+  /// are still counted into trace(), but no longer recorded.
+  [[nodiscard]] Schedule take_schedule() noexcept {
+    set_capture(nullptr);
+    return std::move(schedule_);
+  }
+
  private:
   Schedule schedule_;
 };
@@ -468,7 +476,9 @@ class RecordBackend : public CostBackend {
 /// Run `program` (a callable taking `auto& backend`) on a machine of v VPs
 /// under the selected backend and return the recorded trace. The record
 /// backend returns the trace re-derived from its Schedule, so every
-/// `--backend record` run exercises the record -> replay path end to end.
+/// `--backend record` run exercises the record -> replay path end to end;
+/// with `options.capture` set, the replayed schedule is then moved (not
+/// copied) into it.
 template <typename Payload, typename ProgramFn>
 [[nodiscard]] Trace run_for_trace(std::uint64_t v, const RunOptions& options,
                                   ProgramFn&& program) {
@@ -481,8 +491,11 @@ template <typename Payload, typename ProgramFn>
     case BackendKind::kRecord: {
       RecordBackend backend(v);
       program(backend);
-      if (options.capture != nullptr) *options.capture = backend.schedule();
-      return backend.schedule().replay_trace();
+      Trace trace = backend.schedule().replay_trace();
+      if (options.capture != nullptr) {
+        *options.capture = backend.take_schedule();
+      }
+      return trace;
     }
     case BackendKind::kAnalytic:
       // Only the registry layer can answer analytically: it knows the

@@ -38,6 +38,33 @@ TEST(KernelVerdicts, EveryKernelMatchesItsRegistryAnnotation) {
   }
 }
 
+TEST(KernelVerdicts, OneReplayLintEqualsTheThreeReplayComposition) {
+  // audit_kernel lints from one record run and one replay; the verdict
+  // must equal linting a separately recorded schedule with its own
+  // replays: lint_schedule(s) + lint_against_formulas(s.replay_trace()).
+  for (const AlgoEntry& entry : AlgoRegistry::instance().entries()) {
+    const std::uint64_t n = entry.smoke_sizes.front();
+    Schedule schedule;
+    RunOptions record;
+    record.backend = BackendKind::kRecord;
+    record.capture = &schedule;
+    (void)entry.runner(n, record);
+    ScheduleLintReport expected = lint_schedule(schedule);
+    merge_into(expected,
+               lint_against_formulas(schedule.replay_trace(), n,
+                                     entry.predicted, entry.lower_bound,
+                                     entry.exact_h, entry.name));
+
+    const ScheduleLintReport actual = audit_kernel(entry, n).lint;
+    ASSERT_EQ(actual.issues.size(), expected.issues.size()) << entry.name;
+    for (std::size_t i = 0; i < actual.issues.size(); ++i) {
+      EXPECT_EQ(actual.issues[i].rule, expected.issues[i].rule) << entry.name;
+      EXPECT_EQ(actual.issues[i].detail, expected.issues[i].detail)
+          << entry.name;
+    }
+  }
+}
+
 TEST(KernelVerdicts, SamplesortIsTheOnlyDataDependentKernel) {
   const auto verdicts = audit_registry();
   std::size_t flagged = 0;

@@ -56,6 +56,36 @@ TEST(ScheduleLint, LabelRangeRule) {
   EXPECT_TRUE(has_rule(report, "label-range"));
 }
 
+TEST(ScheduleLint, SuppliedTraceOverloadReportsLabelRangeWithoutThrowing) {
+  // The schedule alone cannot be replayed (replay_trace() throws on the
+  // label); with the trace supplied, the event checks still report it.
+  Schedule schedule;
+  schedule.log_v = 2;
+  schedule.steps.emplace_back(2, std::initializer_list<ScheduleSend>{
+                                     {0, 1, 1, false}});
+  ScheduleLintReport report;
+  EXPECT_NO_THROW(report = lint_schedule(schedule, Trace(2)));
+  EXPECT_TRUE(has_rule(report, "label-range"));
+}
+
+TEST(ScheduleLint, SuppliedTraceOverloadLintsTheSuppliedDegrees) {
+  // Clean events, impossible supplied degrees: the degree checks read the
+  // trace they are given, not a fresh replay.
+  Schedule schedule;
+  schedule.log_v = 2;
+  schedule.steps.emplace_back(0, std::initializer_list<ScheduleSend>{
+                                     {0, 1, 1, false}});
+  ASSERT_TRUE(lint_schedule(schedule).clean());
+  Trace trace(2);
+  SuperstepRecord record;
+  record.label = 0;
+  record.degree = {0, 5, 1};
+  record.messages = 5;
+  trace.append(record);
+  const ScheduleLintReport report = lint_schedule(schedule, trace);
+  EXPECT_TRUE(has_rule(report, "degree-doubling"));
+}
+
 TEST(ScheduleLint, EndpointRangeRule) {
   Schedule schedule;
   schedule.log_v = 2;
