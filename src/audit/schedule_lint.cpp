@@ -25,14 +25,14 @@ ScheduleLintReport lint_events(const Schedule& schedule) {
   ScheduleLintReport report;
   const std::uint64_t v = schedule.v();
   const unsigned log_v = schedule.log_v;
-  const unsigned label_bound = log_v < 1 ? 1 : log_v;
+  const unsigned bound = label_bound(log_v);
 
   for (std::size_t s = 0; s < schedule.steps.size(); ++s) {
     const ScheduleStep& step = schedule.steps[s];
     const auto where = [&] { return step_prefix(s, step.label); };
-    if (step.label >= label_bound) {
+    if (step.label >= bound) {
       add(report, "label-range",
-          where() + "label exceeds bound " + std::to_string(label_bound - 1));
+          where() + "label exceeds bound " + std::to_string(bound - 1));
       continue;  // the containment shift below would be meaningless
     }
     const unsigned shift = log_v - step.label;

@@ -5,7 +5,7 @@
 namespace nobl {
 
 void CostBackend::stream_to(TraceWriter* writer) {
-  if (writer != nullptr && writer->log_v() != log_v_) {
+  if (writer != nullptr && writer->log_v() != log_v()) {
     throw std::invalid_argument(
         "CostBackend::stream_to: writer log_v mismatch");
   }

@@ -41,11 +41,13 @@
 //     events in execution order. Schedules feed conformance oracles and
 //     re-derive the trace without re-running the program (replay_trace).
 //
-// Validation parity: cost/record backends enforce the same rules as the
-// simulator — label range, no nested supersteps, strictly increasing sparse
-// active sets, destination range, and the i-cluster containment rule
-// (ClusterViolation) — so a program that certifies under CostBackend also
-// runs under SimulateBackend, and vice versa.
+// Validation parity: every backend here (and audit::AuditBackend) derives
+// from the one superstep driver, bsp/superstep_driver.hpp, which owns the
+// superstep entry points and every rule — label range, no nesting, the
+// active set, destination range and i-cluster containment
+// (ClusterViolation) — with one exception type and message per rule. A
+// program that certifies under CostBackend therefore also runs under
+// SimulateBackend, and vice versa, by construction.
 #pragma once
 
 #include <cstddef>
@@ -59,8 +61,8 @@
 
 #include "bsp/execution.hpp"
 #include "bsp/machine.hpp"
+#include "bsp/superstep_driver.hpp"
 #include "bsp/trace.hpp"
-#include "util/bits.hpp"
 
 namespace nobl {
 
@@ -220,7 +222,9 @@ struct Schedule {
 /// (the reference semantics); send/send_dummy collapse to O(1) degree
 /// bucketing. trace() is bit-identical to the simulator's by construction:
 /// both feed the same (src, dst, count) stream into the same accumulator.
-class CostBackend {
+class CostBackend : public SuperstepDriver<CostBackend> {
+  using Driver = SuperstepDriver<CostBackend>;
+
  public:
   static constexpr bool delivers = false;
 
@@ -229,8 +233,8 @@ class CostBackend {
   /// the handle at construction, and the send half of the degree stream is
   /// batched per source VP — every send of one VP shares its src, so the
   /// sent-side buckets and the message total accumulate on the stack and
-  /// flush into the DegreeAccumulator once per VP (commit(), called by the
-  /// superstep driver). The resulting accumulator state is bit-identical
+  /// flush into the DegreeAccumulator once per VP (commit(), called by
+  /// run_bodies). The resulting accumulator state is bit-identical
   /// to per-message counting; only the constant factor changes.
   template <bool kCapture>
   class VpRefT {
@@ -244,7 +248,7 @@ class CostBackend {
     /// never construct message storage.
     template <typename Payload>
     void send(std::uint64_t dst, Payload&&) {
-      if (dst >= v_ || ((id_ ^ dst) >> breach_shift_) != 0) [[unlikely]] {
+      if (send_breaks_rules(id_, dst, v_, breach_shift_)) [[unlikely]] {
         backend_->fail_send(id_, dst);
       }
       ++messages_;
@@ -255,7 +259,7 @@ class CostBackend {
     }
     void send_dummy(std::uint64_t dst, std::uint64_t count = 1) {
       if (count == 0) return;
-      if (dst >= v_ || ((id_ ^ dst) >> breach_shift_) != 0) [[unlikely]] {
+      if (send_breaks_rules(id_, dst, v_, breach_shift_)) [[unlikely]] {
         backend_->fail_send(id_, dst);
       }
       messages_ += count;
@@ -274,15 +278,15 @@ class CostBackend {
           active_data_(backend->acc_.active_data()),
           recv_data_(backend->acc_.recv_data()),
           id_(id),
-          v_(backend->v_),
-          log_v_(backend->log_v_),
-          breach_shift_(backend->breach_shift_) {}
+          v_(backend->v()),
+          log_v_(backend->log_v()),
+          breach_shift_(backend->breach_shift()) {}
 
     void bucket(std::uint64_t dst, std::uint64_t count) {
       // The endpoints share cb most-significant bits (cf.
       // DegreeAccumulator::count); receive side goes straight to the
       // accumulator's lanes (raw pointers cached at construction — the
-      // lanes are pre-sized by begin_superstep), send side into the local
+      // lanes are pre-sized by open_step), send side into the local
       // per-src buckets.
       const auto cb = static_cast<unsigned>(
           log_v_ - static_cast<unsigned>(std::bit_width(id_ ^ dst)));
@@ -298,7 +302,7 @@ class CostBackend {
       recv_data_[(static_cast<std::size_t>(cb) << log_v_) + dst] += count;
     }
 
-    /// Flush the batched send half; the driver calls this exactly once,
+    /// Flush the batched send half; run_bodies calls this exactly once,
     /// after the body returns.
     void commit() { acc_->flush_sent(id_, dirty_, sent_, messages_); }
 
@@ -318,10 +322,8 @@ class CostBackend {
 
   /// Create a counting backend for M(v). v must be a power of two.
   explicit CostBackend(std::uint64_t v)
-      : log_v_(log2_exact(v)), v_(v), acc_(log_v_), trace_(log_v_) {}
+      : Driver(v), acc_(log_v()), trace_(log_v()) {}
 
-  [[nodiscard]] std::uint64_t v() const noexcept { return v_; }
-  [[nodiscard]] unsigned log_v() const noexcept { return log_v_; }
   [[nodiscard]] const Trace& trace() const noexcept { return trace_; }
 
   /// Stream mode: route every finalized superstep record into `writer`
@@ -334,119 +336,51 @@ class CostBackend {
   /// the backend's.
   void stream_to(TraceWriter* writer);
 
-  template <typename Body>
-  void superstep(unsigned label, Body&& body) {
-    superstep_range(label, 0, v_, std::forward<Body>(body));
-  }
-
-  template <typename Body>
-  void superstep_range(unsigned label, std::uint64_t first, std::uint64_t last,
-                       Body&& body) {
-    begin_superstep(label);
-    if (capture_ == nullptr) {
-      for (std::uint64_t r = first; r < last; ++r) {
-        VpRefT<false> vp(this, r);
-        body(vp);
-        vp.commit();
-      }
-    } else {
-      for (std::uint64_t r = first; r < last; ++r) {
-        VpRefT<true> vp(this, r);
-        body(vp);
-        vp.commit();
-      }
-    }
-    end_superstep();
-  }
-
-  template <typename Body>
-  void superstep_sparse(unsigned label, std::span<const std::uint64_t> active,
-                        Body&& body) {
-    begin_superstep(label);
-    std::uint64_t previous = 0;
-    bool first = true;
-    for (const std::uint64_t r : active) {
-      if (r >= v_ || (!first && r <= previous)) {
-        in_superstep_ = false;
-        throw std::invalid_argument(
-            "CostBackend: sparse active set must be strictly increasing VP "
-            "ids");
-      }
-      previous = r;
-      first = false;
-    }
-    if (capture_ == nullptr) {
-      for (const std::uint64_t r : active) {
-        VpRefT<false> vp(this, r);
-        body(vp);
-        vp.commit();
-      }
-    } else {
-      for (const std::uint64_t r : active) {
-        VpRefT<true> vp(this, r);
-        body(vp);
-        vp.commit();
-      }
-    }
-    end_superstep();
-  }
-
  protected:
   /// Derived backends route a non-null `capture` to record every event.
   void set_capture(Schedule* capture) noexcept { capture_ = capture; }
 
  private:
-  void begin_superstep(unsigned label) {
-    if (label >= trace_.label_bound()) {
-      throw std::invalid_argument("CostBackend: superstep label out of range");
-    }
-    if (in_superstep_) {
-      throw std::logic_error("CostBackend: nested superstep");
-    }
-    in_superstep_ = true;
-    label_ = label;
-    // A message breaches the sender's label_-cluster iff src and dst differ
-    // in any of the top label_ bits: (src ^ dst) >> breach_shift_ != 0.
-    // Precomputing the shift keeps the per-send check to xor + shift.
-    breach_shift_ = log_v_ - label;
+  friend Driver;
+
+  void open_step(unsigned label) {
     acc_.ensure_lanes();
     record_.label = label;
-    record_.degree.assign(log_v_ + 1, 0);
+    record_.degree.assign(log_v() + 1, 0);
     if (capture_ != nullptr) capture_->steps.emplace_back(label);
   }
 
-  void end_superstep() {
+  template <typename IdOf, typename Body>
+  void run_bodies(std::uint64_t count, const IdOf& id_of, Body& body) {
+    if (capture_ == nullptr) {
+      run_handles<false>(count, id_of, body);
+    } else {
+      run_handles<true>(count, id_of, body);
+    }
+  }
+
+  template <bool kCapture, typename IdOf, typename Body>
+  void run_handles(std::uint64_t count, const IdOf& id_of, Body& body) {
+    for (std::uint64_t pos = 0; pos < count; ++pos) {
+      VpRefT<kCapture> vp(this, id_of(pos));
+      body(vp);
+      vp.commit();
+    }
+  }
+
+  void close_step() {
     acc_.finalize_into(record_);
     emit_record();
-    in_superstep_ = false;
   }
 
   /// Out of line (backend.cpp): append record_ to the streaming writer when
   /// one is attached, to the in-memory trace otherwise.
   void emit_record();
 
-  /// Cold path of VpRef's send check: decide which invariant broke. The
-  /// fast path pre-verified `dst >= v_ || cluster breach`, so exactly one
-  /// of the two throws fires.
-  [[noreturn]] void fail_send(std::uint64_t src, std::uint64_t dst) const {
-    if (dst >= v_) {
-      throw std::out_of_range("CostBackend: destination VP out of range");
-    }
-    throw ClusterViolation(
-        "CostBackend: message leaves the sender's " + std::to_string(label_) +
-        "-cluster (src=" + std::to_string(src) +
-        ", dst=" + std::to_string(dst) + ")");
-  }
-
-  unsigned log_v_;
-  std::uint64_t v_;
   DegreeAccumulator acc_;
   Trace trace_;
   Schedule* capture_ = nullptr;
   TraceWriter* stream_ = nullptr;
-  bool in_superstep_ = false;
-  unsigned label_ = 0;
-  unsigned breach_shift_ = 0;  ///< log_v - label of the open superstep
   SuperstepRecord record_;
 };
 

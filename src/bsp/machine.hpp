@@ -13,7 +13,8 @@
 //     inboxes (delivery order = sender index, then send order; delivery is
 //     CSR-style two-pass — count per destination, reserve once, fill — so
 //     the sync never reallocates mid-merge),
-//   * enforces the cluster-containment rule (ClusterViolation on breach),
+//   * enforces the rules of an i-superstep through the shared driver
+//     (bsp/superstep_driver.hpp; ClusterViolation on a cluster breach),
 //   * records the exact degree of the superstep at every folding 2^j
 //     (see bsp/trace.hpp), including "dummy" messages — the paper's device
 //     for making algorithms (Θ(1), p)-wise without touching their state.
@@ -53,24 +54,16 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <span>
 #include <stdexcept>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "bsp/execution.hpp"
+#include "bsp/superstep_driver.hpp"
 #include "bsp/trace.hpp"
-#include "util/bits.hpp"
 #include "util/worker_pool.hpp"
 
 namespace nobl {
-
-/// Thrown when an i-superstep sends a message outside the sender's i-cluster.
-class ClusterViolation : public std::logic_error {
- public:
-  using std::logic_error::logic_error;
-};
 
 /// A delivered message: sender index plus payload.
 template <typename Payload>
@@ -123,7 +116,9 @@ class Vp {
 };
 
 template <typename Payload>
-class Machine {
+class Machine : public SuperstepDriver<Machine<Payload>> {
+  using Driver = SuperstepDriver<Machine<Payload>>;
+
  public:
   using MessageT = Message<Payload>;
 
@@ -135,74 +130,26 @@ class Machine {
   /// Create an M(v). v must be a power of two (Section 2's assumption).
   explicit Machine(std::uint64_t v,
                    ExecutionPolicy policy = ExecutionPolicy::sequential())
-      : log_v_(log2_exact(v)), v_(v), policy_(policy), trace_(log_v_) {
+      : Driver(v), policy_(policy), trace_(this->log_v()) {
     if (policy_.mode == ExecutionPolicy::Mode::kParallel &&
         policy_.num_threads == 0) {
       throw std::invalid_argument("Machine: parallel policy needs >= 1 thread");
     }
-    inbox_.resize(v_);
-    outbox_.resize(v_);
-    inbox_count_.resize(v_);
+    inbox_.resize(v);
+    outbox_.resize(v);
+    inbox_count_.resize(v);
     if (policy_.is_parallel()) {
       pool_ = std::make_unique<WorkerPool>(policy_.num_threads);
     }
     const unsigned lanes = pool_ ? pool_->size() : 1;
     lanes_.reserve(lanes);
-    for (unsigned w = 0; w < lanes; ++w) lanes_.emplace_back(log_v_);
+    for (unsigned w = 0; w < lanes; ++w) lanes_.emplace_back(this->log_v());
   }
 
-  [[nodiscard]] std::uint64_t v() const noexcept { return v_; }
-  [[nodiscard]] unsigned log_v() const noexcept { return log_v_; }
   [[nodiscard]] const ExecutionPolicy& policy() const noexcept {
     return policy_;
   }
   [[nodiscard]] const Trace& trace() const noexcept { return trace_; }
-
-  /// Execute one i-superstep: `body(vp)` runs for every VP, then the closing
-  /// sync(i) delivers all messages sent during the body.
-  template <typename Body>
-  void superstep(unsigned label, Body&& body) {
-    superstep_range(label, 0, v_, std::forward<Body>(body));
-  }
-
-  /// Same as superstep(), but runs the body only for VPs in [first, last).
-  /// Idle VPs still take part in the barrier; this is purely a simulator
-  /// fast-path for supersteps whose active set is known to be a range.
-  template <typename Body>
-  void superstep_range(unsigned label, std::uint64_t first, std::uint64_t last,
-                       Body&& body) {
-    begin_superstep(label);
-    run_bodies(
-        first >= last ? 0 : last - first,
-        [first](std::uint64_t pos) { return first + pos; },
-        std::forward<Body>(body));
-    end_superstep();
-  }
-
-  /// Same as superstep(), but runs the body only for the listed VPs (which
-  /// must be strictly increasing, for deterministic delivery order). Used by
-  /// schedules whose active set per superstep is sparse, e.g. the stencil
-  /// diamond phases where most submachines hold dummy diamonds.
-  template <typename Body>
-  void superstep_sparse(unsigned label, std::span<const std::uint64_t> active,
-                        Body&& body) {
-    begin_superstep(label);
-    std::uint64_t previous = 0;
-    bool first = true;
-    for (const std::uint64_t r : active) {
-      if (r >= v_ || (!first && r <= previous)) {
-        in_superstep_ = false;
-        throw std::invalid_argument(
-            "Machine: sparse active set must be strictly increasing VP ids");
-      }
-      previous = r;
-      first = false;
-    }
-    run_bodies(
-        active.size(), [active](std::uint64_t pos) { return active[pos]; },
-        std::forward<Body>(body));
-    end_superstep();
-  }
 
   /// Read access to a VP's current inbox between supersteps (used to extract
   /// results after the final sync).
@@ -221,6 +168,7 @@ class Machine {
 
  private:
   friend class Vp<Payload>;
+  friend Driver;
 
   /// A send staged during the running superstep, private to its sender.
   struct Staged {
@@ -228,17 +176,9 @@ class Machine {
     Payload data;
   };
 
-  void begin_superstep(unsigned label) {
-    if (label >= trace_.label_bound()) {
-      throw std::invalid_argument("Machine: superstep label out of range");
-    }
-    if (in_superstep_) {
-      throw std::logic_error("Machine: nested superstep");
-    }
-    in_superstep_ = true;
-    label_ = label;
+  void open_step(unsigned label) {
     record_.label = label;
-    record_.degree.assign(log_v_ + 1, 0);
+    record_.degree.assign(this->log_v() + 1, 0);
   }
 
   /// Drive body(vp) over the `count` active VPs, where id_of(pos) maps the
@@ -251,7 +191,7 @@ class Machine {
   /// way, but bodies already in flight may have touched host state the
   /// sequential engine would not have reached.
   template <typename IdOf, typename Body>
-  void run_bodies(std::uint64_t count, IdOf&& id_of, Body&& body) {
+  void run_bodies(std::uint64_t count, const IdOf& id_of, Body& body) {
     if (!pool_ || count < 2) {
       for (std::uint64_t pos = 0; pos < count; ++pos) {
         Vp<Payload> vp(this, id_of(pos), 0);
@@ -292,7 +232,7 @@ class Machine {
     if (first != workers) std::rethrow_exception(error[first]);
   }
 
-  void end_superstep() {
+  void close_step() {
     // Fold the worker lanes' degree counters into lane 0 (commutative sums,
     // so the result is independent of how VPs were scheduled), then turn
     // them into this superstep's degree vector.
@@ -307,54 +247,40 @@ class Machine {
     // sizes so every inbox grows exactly once (no geometric reallocation on
     // the delivery path), then fill in the same ascending-sender order the
     // per-message push_back used — delivery order is byte-identical.
+    const std::uint64_t v = this->v();
     std::fill(inbox_count_.begin(), inbox_count_.end(), 0);
-    for (std::uint64_t r = 0; r < v_; ++r) {
+    for (std::uint64_t r = 0; r < v; ++r) {
       for (const Staged& s : outbox_[r]) ++inbox_count_[s.dst];
     }
-    for (std::uint64_t r = 0; r < v_; ++r) {
+    for (std::uint64_t r = 0; r < v; ++r) {
       inbox_[r].clear();
       inbox_[r].reserve(inbox_count_[r]);
       peak_inbox_ = std::max(peak_inbox_, inbox_count_[r]);
     }
-    for (std::uint64_t r = 0; r < v_; ++r) {
+    for (std::uint64_t r = 0; r < v; ++r) {
       for (Staged& s : outbox_[r]) {
         inbox_[s.dst].push_back(MessageT{r, std::move(s.data)});
       }
       outbox_[r].clear();
     }
-    in_superstep_ = false;
-  }
-
-  void check_cluster(std::uint64_t src, std::uint64_t dst) const {
-    if (dst >= v_) {
-      throw std::out_of_range("Machine: destination VP out of range");
-    }
-    if (shared_msb(src, dst, log_v_) < label_) {
-      throw ClusterViolation(
-          "Machine: message leaves the sender's " + std::to_string(label_) +
-          "-cluster (src=" + std::to_string(src) +
-          ", dst=" + std::to_string(dst) + ")");
-    }
   }
 
   void enqueue(std::uint64_t src, unsigned lane, std::uint64_t dst,
                Payload data) {
-    if (!in_superstep_) throw std::logic_error("Machine: send outside superstep");
-    check_cluster(src, dst);
+    if (!this->in_superstep()) throw std::logic_error("send outside superstep");
+    this->check_send(src, dst);
     lanes_[lane].count(src, dst, 1);
     outbox_[src].push_back(Staged{dst, std::move(data)});
   }
 
   void enqueue_dummy(std::uint64_t src, unsigned lane, std::uint64_t dst,
                      std::uint64_t count) {
-    if (!in_superstep_) throw std::logic_error("Machine: send outside superstep");
+    if (!this->in_superstep()) throw std::logic_error("send outside superstep");
     if (count == 0) return;
-    check_cluster(src, dst);
+    this->check_send(src, dst);
     lanes_[lane].count(src, dst, count);
   }
 
-  unsigned log_v_;
-  std::uint64_t v_;
   ExecutionPolicy policy_;
   Trace trace_;
   std::uint64_t peak_inbox_ = 0;
@@ -369,8 +295,6 @@ class Machine {
   std::unique_ptr<WorkerPool> pool_;  ///< null under the sequential engine
   std::vector<DegreeAccumulator> lanes_;  ///< one per worker (1 if sequential)
 
-  bool in_superstep_ = false;
-  unsigned label_ = 0;
   SuperstepRecord record_;
 };
 

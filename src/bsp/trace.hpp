@@ -31,6 +31,12 @@
 
 namespace nobl {
 
+/// Number of superstep labels on M(2^log_v): valid labels are
+/// 0 .. label_bound(log_v) - 1 (M(1) still has label 0 for local steps).
+[[nodiscard]] constexpr unsigned label_bound(unsigned log_v) noexcept {
+  return log_v < 1 ? 1 : log_v;
+}
+
 /// Record of a single executed superstep.
 struct SuperstepRecord {
   unsigned label = 0;  ///< i of the i-superstep, 0 <= i < log v
@@ -204,10 +210,9 @@ class Trace {
     return steps_;
   }
 
-  /// Number of representable superstep labels: valid labels are
-  /// 0 .. label_bound() - 1 (M(1) still has label 0 for local steps).
+  /// Number of representable superstep labels (nobl::label_bound).
   [[nodiscard]] unsigned label_bound() const noexcept {
-    return log_v_ < 1 ? 1 : log_v_;
+    return nobl::label_bound(log_v_);
   }
 
   void append(SuperstepRecord record);

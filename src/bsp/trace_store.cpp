@@ -184,7 +184,7 @@ void walk_blocks(const unsigned char* data, std::size_t size, unsigned log_v,
                  const std::function<void(const SuperstepRecord&)>& fn,
                  std::size_t* live_peak) {
   Cursor cursor{data, size, kHeaderBytes};
-  const unsigned label_bound = log_v < 1 ? 1u : log_v;
+  const unsigned bound = label_bound(log_v);
   SuperstepRecord record;
   record.degree.assign(log_v + 1u, 0);
   std::vector<std::uint64_t> prev(log_v + 1u, 0);
@@ -196,7 +196,7 @@ void walk_blocks(const unsigned char* data, std::size_t size, unsigned log_v,
     if (data[cursor.pos] == kFooterSentinel) break;
     const std::size_t block_start = cursor.pos;
     const std::uint64_t label = cursor.varint("block label");
-    if (label >= label_bound) {
+    if (label >= bound) {
       cursor.pos = block_start;
       cursor.fail("superstep label " + std::to_string(label) +
                   " out of range in block");
@@ -290,7 +290,7 @@ void TraceWriter::append(const SuperstepRecord& record) {
   if (record.degree.size() != static_cast<std::size_t>(log_v_) + 1) {
     throw std::invalid_argument("TraceWriter: degree vector size mismatch");
   }
-  if (record.label >= (log_v_ < 1 ? 1u : log_v_)) {
+  if (record.label >= label_bound(log_v_)) {
     throw std::invalid_argument("TraceWriter: label out of range");
   }
   if (record.degree[0] != 0) {

@@ -136,7 +136,7 @@ class TraceReader {
     return std::uint64_t{1} << log_v_;
   }
   [[nodiscard]] unsigned label_bound() const noexcept {
-    return log_v_ < 1 ? 1 : log_v_;
+    return nobl::label_bound(log_v_);
   }
   [[nodiscard]] std::size_t supersteps() const noexcept {
     return supersteps_;

@@ -1,16 +1,15 @@
 // AuditBackend: classification of toy programs (a deliberately
 // data-dependent router must flag; an oblivious compare-exchange network
-// must not), declassification attribution across superstep boundaries, and
-// validation parity with the counting backends.
+// must not) and declassification attribution across superstep boundaries.
+// Validation parity with the other backends is pinned by
+// tests/bsp/test_superstep_parity.cpp.
 #include <cstdint>
-#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "audit/backend.hpp"
 #include "audit/taint.hpp"
-#include "bsp/machine.hpp"
 #include "util/dep.hpp"
 
 namespace nobl::audit {
@@ -139,42 +138,6 @@ TEST(AuditBackend, ObliviousCompareExchangeStaysClean) {
   EXPECT_EQ(values[3].raw(), 9u);
   const AuditReport report = bk.take_report();
   EXPECT_TRUE(report.oblivious());
-}
-
-TEST(AuditBackend, ValidationParityWithCountingBackends) {
-  {
-    AuditBackend bk(4);
-    EXPECT_THROW(bk.superstep(2, [](auto&) {}), std::invalid_argument);
-  }
-  {
-    AuditBackend bk(4);
-    EXPECT_THROW(
-        bk.superstep(0, [&](auto& vp) { vp.send(4, std::uint64_t{0}); }),
-        std::out_of_range);
-  }
-  {
-    AuditBackend bk(4);
-    // Label-1 superstep: messages may not leave the sender's 1-cluster.
-    EXPECT_THROW(
-        bk.superstep(1, [&](auto& vp) {
-          if (vp.id() == 0) vp.send(2, std::uint64_t{0});
-        }),
-        ClusterViolation);
-  }
-  {
-    AuditBackend bk(4);
-    const std::vector<std::uint64_t> unsorted{2, 1};
-    EXPECT_THROW(bk.superstep_sparse(0, unsorted, [](auto&) {}),
-                 std::invalid_argument);
-  }
-  {
-    AuditBackend bk(4);
-    EXPECT_THROW(bk.superstep(0,
-                              [&](auto&) {
-                                bk.superstep(0, [](auto&) {});  // nested
-                              }),
-                 std::logic_error);
-  }
 }
 
 TEST(AuditBackend, SparseRosterRunsOnlyListedVps) {
