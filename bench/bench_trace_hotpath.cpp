@@ -5,8 +5,10 @@
 //
 // main() first prints a fast-vs-reference accumulator throughput table on
 // dense all-to-all and matmul-shaped message storms (the acceptance
-// workloads), then hands over to google-benchmark for messages/sec and
-// certify-sweep latency timings.
+// workloads) and on a transpose-shaped permutation storm (one message per
+// VP, where the sync's finalize dominates), then hands over to
+// google-benchmark for messages/sec, finalize and certify-sweep latency
+// timings.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -60,6 +62,19 @@ std::vector<Storm> matmul_storm(std::uint64_t v) {
       msgs.push_back(Storm{r, row * m + k});
       msgs.push_back(Storm{r, k * m + col});
     }
+  }
+  return msgs;
+}
+
+/// Transpose-shaped permutation storm: every VP of the √v × √v grid sends
+/// one message to its mirror across the diagonal — v messages that touch
+/// every VP once, so the sync's finalize, not the counting, dominates.
+std::vector<Storm> transpose_storm(std::uint64_t v) {
+  const std::uint64_t m = sqrt_pow2(v);
+  std::vector<Storm> msgs;
+  msgs.reserve(v);
+  for (std::uint64_t r = 0; r < v; ++r) {
+    msgs.push_back(Storm{r, (r % m) * m + r / m});
   }
   return msgs;
 }
@@ -133,6 +148,8 @@ void report() {
               {16, 64, 256}, dense_all_to_all);
   storm_table("matmul-shaped message storm (row + column exchange)",
               "matmul-shaped", {16, 64, 256, 1024}, matmul_storm);
+  storm_table("transpose-shaped permutation storm (one message per VP)",
+              "transpose-shaped", {std::uint64_t{1} << 16}, transpose_storm);
 
   benchx::banner("certify_optimality sweep latency on a long trace");
   Table t("certify sweep over folds x sigma grid",
@@ -197,6 +214,37 @@ BENCHMARK_TEMPLATE(BM_DegreeMatmulStorm, DegreeAccumulator)->Arg(64)->Arg(1024);
 BENCHMARK_TEMPLATE(BM_DegreeMatmulStorm, ReferenceDegreeAccumulator)
     ->Arg(64)
     ->Arg(1024);
+
+/// The sync alone on the transpose storm: each iteration counts the storm
+/// untimed, then times the finalize_into that turns it into the degree
+/// vector.
+template <typename Accumulator>
+void BM_FinalizeTransposeStorm(benchmark::State& state) {
+  const auto v = static_cast<std::uint64_t>(state.range(0));
+  const unsigned log_v = log2_exact(v);
+  const auto msgs = transpose_storm(v);
+  Accumulator acc(log_v);
+  SuperstepRecord rec;
+  rec.degree.assign(log_v + 1u, 0);
+  for (auto _ : state) {
+    for (const Storm& s : msgs) acc.count(s.src, s.dst, 1);
+    const auto t0 = std::chrono::steady_clock::now();
+    acc.finalize_into(rec);
+    const std::chrono::duration<double> dt =
+        std::chrono::steady_clock::now() - t0;
+    benchmark::DoNotOptimize(rec.degree.data());
+    benchmark::ClobberMemory();
+    state.SetIterationTime(dt.count());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(v));
+}
+BENCHMARK_TEMPLATE(BM_FinalizeTransposeStorm, DegreeAccumulator)
+    ->Arg(1 << 16)
+    ->UseManualTime();
+BENCHMARK_TEMPLATE(BM_FinalizeTransposeStorm, ReferenceDegreeAccumulator)
+    ->Arg(1 << 16)
+    ->UseManualTime();
 
 /// Full-engine storm: accounting + cluster checks + CSR delivery at the sync.
 void BM_MachineDenseAllToAll(benchmark::State& state) {

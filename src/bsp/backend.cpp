@@ -74,7 +74,12 @@ Trace Schedule::replay_trace() const {
     const auto& src = step.src();
     const auto& dst = step.dst();
     const auto& count = step.count();
+    const std::uint64_t v = this->v();
     for (std::size_t i = 0; i < step.size(); ++i) {
+      // v is a power of two: both endpoints are below it iff their OR is.
+      if ((src[i] | dst[i]) >= v) {
+        throw std::invalid_argument("Schedule: event endpoint out of range");
+      }
       acc.count(src[i], dst[i], count[i]);
     }
     acc.finalize_into(record);

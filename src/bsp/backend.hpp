@@ -284,10 +284,11 @@ class CostBackend : public SuperstepDriver<CostBackend> {
 
     void bucket(std::uint64_t dst, std::uint64_t count) {
       // The endpoints share cb most-significant bits (cf.
-      // DegreeAccumulator::count); receive side goes straight to the
-      // accumulator's lanes (raw pointers cached at construction — the
-      // lanes are pre-sized by open_step), send side into the local
-      // per-src buckets.
+      // DegreeAccumulator::count); receive side goes straight to dst's
+      // VP-major row in the accumulator's lanes (raw pointers cached at
+      // construction — the lanes are pre-sized by open_step — and indexed
+      // by DegreeAccumulator::slot), send side into the local per-src
+      // buckets.
       const auto cb = static_cast<unsigned>(
           log_v_ - static_cast<unsigned>(std::bit_width(id_ ^ dst)));
       if (((dirty_ >> cb) & 1) == 0) {
@@ -299,7 +300,7 @@ class CostBackend : public SuperstepDriver<CostBackend> {
         active_data_[dst] = 1;
         acc_->note_touched(dst);
       }
-      recv_data_[(static_cast<std::size_t>(cb) << log_v_) + dst] += count;
+      recv_data_[acc_->slot(dst, cb)] += count;
     }
 
     /// Flush the batched send half; run_bodies calls this exactly once,

@@ -1,19 +1,22 @@
 #include "bsp/trace.hpp"
 
 #include <algorithm>
+#include <array>
 
 namespace nobl {
 
-DegreeAccumulator::DegreeAccumulator(unsigned log_v) : log_v_(log_v) {}
+DegreeAccumulator::DegreeAccumulator(unsigned log_v) : log_v_(log_v) {
+  // finalize_into keeps its per-fold running sums on the stack.
+  if (log_v >= kMaxFolds) {
+    throw std::invalid_argument("DegreeAccumulator: log_v must be below 64");
+  }
+}
 
 void DegreeAccumulator::allocate_lanes() {
   const std::size_t v = std::size_t{1} << log_v_;
   sent_fine_.assign(v * log_v_, 0);
   recv_fine_.assign(v * log_v_, 0);
   active_.assign(v, 0);
-  // The cluster scratch stays unallocated here: under the parallel engine
-  // every lane counts, but only lane 0 (the absorb target) ever finalizes,
-  // so finalize_into sizes it on first use instead.
 }
 
 void DegreeAccumulator::absorb(DegreeAccumulator& other) {
@@ -25,12 +28,11 @@ void DegreeAccumulator::absorb(DegreeAccumulator& other) {
   if (!other.touched_.empty() && active_.empty()) allocate_lanes();
   for (const std::uint64_t r : other.touched_) {
     touch(r);
-    for (unsigned cb = 0; cb < log_v_; ++cb) {
-      const std::size_t idx = lane(cb) + r;
-      sent_fine_[idx] += other.sent_fine_[idx];
-      recv_fine_[idx] += other.recv_fine_[idx];
-      other.sent_fine_[idx] = 0;
-      other.recv_fine_[idx] = 0;
+    for (std::size_t i = slot(r, 0); i < slot(r + 1, 0); ++i) {
+      sent_fine_[i] += other.sent_fine_[i];
+      recv_fine_[i] += other.recv_fine_[i];
+      other.sent_fine_[i] = 0;
+      other.recv_fine_[i] = 0;
     }
     other.active_[r] = 0;
   }
@@ -42,66 +44,57 @@ void DegreeAccumulator::finalize_into(SuperstepRecord& record) {
     throw std::invalid_argument(
         "DegreeAccumulator::finalize_into: degree vector size mismatch");
   }
-  // Prefix over crossing levels: after this pass, lane j-1 of VP r holds the
-  // number of messages r sent (received) that cross fold 2^j, i.e. the sum of
-  // its lanes with cb < j. (cb-major layout: row cb is contiguous; when the
-  // superstep touched every VP the rows are processed whole, without the
-  // touched_ indirection, which lets the loops vectorize.)
+  // Index k below stands for fold 2^(k+1). Messages a VP sends (receives)
+  // across fold 2^(k+1) are its counters with cb <= k, a prefix of its row.
+  // run_*[k] totals the current fold cluster — the VPs visited so far that
+  // share the last one's k+1 most-significant bits — and peak[k] is the
+  // largest closed cluster total: h(2^j) = max over processors of
+  // max(sent, received).
+  std::array<std::uint64_t, kMaxFolds> run_sent{};
+  std::array<std::uint64_t, kMaxFolds> run_recv{};
+  std::array<std::uint64_t, kMaxFolds> peak{};
+  const auto close_from = [&](unsigned first) {
+    for (unsigned k = first; k < log_v_; ++k) {
+      peak[k] = std::max(peak[k], std::max(run_sent[k], run_recv[k]));
+      run_sent[k] = 0;
+      run_recv[k] = 0;
+    }
+  };
+  std::uint64_t prev = 0;
+  const auto visit = [&](std::uint64_t r) {
+    // Ascending order: r leaves prev's cluster at every fold that separates
+    // the two, and no later VP returns to it. (Before the first VP, prev = 0
+    // closes only empty clusters.)
+    close_from(log_v_ - static_cast<unsigned>(std::bit_width(prev ^ r)));
+    prev = r;
+    std::uint64_t* sent = sent_fine_.data() + slot(r, 0);
+    std::uint64_t* recv = recv_fine_.data() + slot(r, 0);
+    std::uint64_t sent_prefix = 0;
+    std::uint64_t recv_prefix = 0;
+    for (unsigned k = 0; k < log_v_; ++k) {
+      sent_prefix += sent[k];
+      recv_prefix += recv[k];
+      sent[k] = 0;
+      recv[k] = 0;
+      run_sent[k] += sent_prefix;
+      run_recv[k] += recv_prefix;
+    }
+    active_[r] = 0;
+  };
+  // Visit the touched VPs in ascending order: sort a small touched set,
+  // walk the active flags of a large one (sorting t VPs costs about as much
+  // as scanning 64·t flags).
   const std::size_t v = std::size_t{1} << log_v_;
-  const bool dense = touched_.size() == v;
-  for (unsigned cb = 1; cb < log_v_; ++cb) {
-    if (dense) {
-      for (std::size_t r = 0; r < v; ++r) {
-        sent_fine_[lane(cb) + r] += sent_fine_[lane(cb - 1) + r];
-        recv_fine_[lane(cb) + r] += recv_fine_[lane(cb - 1) + r];
-      }
-    } else {
-      for (const std::uint64_t r : touched_) {
-        sent_fine_[lane(cb) + r] += sent_fine_[lane(cb - 1) + r];
-        recv_fine_[lane(cb) + r] += recv_fine_[lane(cb - 1) + r];
-      }
-    }
-  }
-  if (!touched_.empty() && cluster_active_.empty()) {
-    cluster_sent_.assign(v, 0);
-    cluster_recv_.assign(v, 0);
-    cluster_active_.assign(v, 0);
-  }
-  // Per fold, reduce the touched VPs' prefixes onto their clusters and take
-  // the peak: h(2^j) = max over processors of max(sent, received).
-  for (unsigned j = 1; j <= log_v_; ++j) {
-    for (const std::uint64_t r : touched_) {
-      const std::uint64_t q = r >> (log_v_ - j);
-      if (!cluster_active_[q]) {
-        cluster_active_[q] = 1;
-        cluster_touched_.push_back(q);
-      }
-      cluster_sent_[q] += sent_fine_[lane(j - 1) + r];
-      cluster_recv_[q] += recv_fine_[lane(j - 1) + r];
-    }
-    std::uint64_t peak = 0;
-    for (const std::uint64_t q : cluster_touched_) {
-      peak = std::max(peak, std::max(cluster_sent_[q], cluster_recv_[q]));
-      cluster_sent_[q] = 0;
-      cluster_recv_[q] = 0;
-      cluster_active_[q] = 0;
-    }
-    cluster_touched_.clear();
-    record.degree[j] = peak;
-  }
-  if (dense) {
-    std::fill(sent_fine_.begin(), sent_fine_.end(), 0);
-    std::fill(recv_fine_.begin(), recv_fine_.end(), 0);
-    std::fill(active_.begin(), active_.end(), 0);
+  if (touched_.size() * 64 < v) {
+    std::sort(touched_.begin(), touched_.end());
+    for (const std::uint64_t r : touched_) visit(r);
   } else {
-    for (unsigned cb = 0; cb < log_v_; ++cb) {
-      for (const std::uint64_t r : touched_) {
-        sent_fine_[lane(cb) + r] = 0;
-        recv_fine_[lane(cb) + r] = 0;
-      }
+    for (std::uint64_t r = 0; r < v; ++r) {
+      if (active_[r]) visit(r);
     }
-    for (const std::uint64_t r : touched_) active_[r] = 0;
   }
+  close_from(0);
+  std::copy_n(peak.begin(), log_v_, record.degree.begin() + 1);
   touched_.clear();
   record.messages = messages_;
   messages_ = 0;

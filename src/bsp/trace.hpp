@@ -62,12 +62,16 @@ struct SuperstepRecord {
 /// and at every such fold the sender's (receiver's) processor is the cluster
 /// containing src (dst). count() therefore buckets the message once, by its
 /// finest-fold endpoints and crossing level — sent_fine[src][cb] and
-/// recv_fine[dst][cb] — in O(1), instead of walking all log v folds.
-/// finalize_into() recovers h(2^j) for every fold at the closing sync with a
-/// prefix over crossing levels per touched VP followed by a bottom-up cluster
-/// reduction per fold: O(t · log v) for t touched VPs, independent of the
-/// number of messages counted. The historical fold-per-message implementation
-/// is retained as ReferenceDegreeAccumulator (bsp/degree_reference.hpp) and
+/// recv_fine[dst][cb] — in O(1), instead of walking all log v folds. The
+/// lanes are VP-major: each VP's log v crossing-level counters form one
+/// contiguous row. finalize_into() recovers h(2^j) for every fold at the
+/// closing sync in one ascending pass over the touched VPs: each row is
+/// turned into a prefix over crossing levels (and zeroed) as it is read, and
+/// every fold keeps a running sum for its current cluster, closed into the
+/// fold's peak when the pass leaves that cluster. O(t · log v) for t touched
+/// VPs (plus a sort of small touched sets), independent of the number of
+/// messages counted. The historical fold-per-message implementation is
+/// retained as ReferenceDegreeAccumulator (bsp/degree_reference.hpp) and
 /// checked against this one by tests/bsp/test_degree_differential.cpp.
 class DegreeAccumulator {
  public:
@@ -77,6 +81,7 @@ class DegreeAccumulator {
   /// Account `count` unit messages src -> dst at every fold that separates
   /// the endpoints. Self-messages only contribute to the message total.
   /// O(1) per call (the per-fold work is deferred to finalize_into).
+  /// Requires src, dst < v.
   void count(std::uint64_t src, std::uint64_t dst, std::uint64_t count) {
     messages_ += count;
     if (src == dst) return;
@@ -87,8 +92,8 @@ class DegreeAccumulator {
         log_v_ - static_cast<unsigned>(std::bit_width(src ^ dst));
     touch(src);
     touch(dst);
-    sent_fine_[lane(cb) + src] += count;
-    recv_fine_[lane(cb) + dst] += count;
+    sent_fine_[slot(src, cb)] += count;
+    recv_fine_[slot(dst, cb)] += count;
   }
 
   /// Pre-size the fine lanes so the split hot path below may skip the lazy
@@ -98,20 +103,19 @@ class DegreeAccumulator {
     if (active_.empty()) allocate_lanes();
   }
 
-  /// Split hot path (bsp/backend.hpp): the receive half of count() for one
-  /// message src -> dst with crossing level cb, where the caller batches
-  /// the send half per source VP and flushes it via flush_sent(). Requires
-  /// ensure_lanes(); self-messages must not be routed here. The final
-  /// accumulator state is bit-identical to per-message count() calls.
-  void count_recv(std::uint64_t dst, unsigned cb, std::uint64_t count) {
-    touch(dst);
-    recv_fine_[lane(cb) + dst] += count;
+  /// Index of VP r's crossing level cb in the fine lanes: the lanes are
+  /// VP-major, r's row of log v counters is contiguous.
+  [[nodiscard]] std::size_t slot(std::uint64_t r, unsigned cb) const noexcept {
+    return static_cast<std::size_t>(r) * log_v_ + cb;
   }
 
-  /// Raw lane access for drivers that inline the receive half (require
-  /// ensure_lanes(); see CostBackend::VpRef). The caller owns the contract
-  /// count_recv() implements: flag active_data()[r] and note_touched(r) on
-  /// the first touch of r, then bump recv_data()[(cb << log_v) + r].
+  /// Split hot path (bsp/backend.hpp), for drivers that batch the send half
+  /// per source VP and inline the receive half (require ensure_lanes(); see
+  /// CostBackend::VpRef). For one message r' -> r with crossing level cb the
+  /// caller flags active_data()[r] and calls note_touched(r) on the first
+  /// touch of r, then bumps recv_data()[slot(r, cb)]; the send half goes
+  /// through flush_sent(). The final accumulator state is bit-identical to
+  /// per-message count() calls.
   [[nodiscard]] std::uint8_t* active_data() noexcept { return active_.data(); }
   [[nodiscard]] std::uint64_t* recv_data() noexcept {
     return recv_fine_.data();
@@ -130,7 +134,7 @@ class DegreeAccumulator {
     while (dirty != 0) {
       const auto cb = static_cast<unsigned>(std::countr_zero(dirty));
       dirty &= dirty - 1;
-      sent_fine_[lane(cb) + src] += sent[cb];
+      sent_fine_[slot(src, cb)] += sent[cb];
     }
   }
 
@@ -153,36 +157,25 @@ class DegreeAccumulator {
     }
   }
 
+  /// Bound on the number of folds: VPs are 64-bit indices, so log v < 64.
+  static constexpr unsigned kMaxFolds = 64;
+
   /// Cold path of count(): size the fine lanes on the first real message, so
   /// lanes that only ever see self-traffic (or none) stay allocation-free —
   /// the parallel engine constructs one accumulator per worker.
   void allocate_lanes();
 
-  /// Start of crossing level cb's row in the fine lanes. The layout is
-  /// cb-major — fine[(cb << log_v) + r] — so the hot-path index is a shift
-  /// and an add (v is a power of two; r-major indexing would multiply by
-  /// log_v), and the per-fold reduction in finalize_into reads each row
-  /// contiguously.
-  [[nodiscard]] std::size_t lane(unsigned cb) const noexcept {
-    return static_cast<std::size_t>(cb) << log_v_;
-  }
-
   unsigned log_v_ = 0;
   std::uint64_t messages_ = 0;
-  // sent_fine_[lane(cb) + r] / recv_fine_[lane(cb) + r]: messages VP r
-  // sent/received with crossing level cb (0 <= cb < log_v). active_ flags and
-  // touched_ list the VPs with nonzero lanes so finalize/reset cost scales
-  // with the active set, not with v. All sized lazily by allocate_lanes().
+  // sent_fine_[slot(r, cb)] / recv_fine_[slot(r, cb)]: messages VP r
+  // sent/received with crossing level cb (0 <= cb < log_v), v · log v words
+  // each. active_ flags and touched_ list the VPs with nonzero rows so
+  // finalize/reset cost scales with the active set, not with v. All sized
+  // lazily by allocate_lanes().
   std::vector<std::uint64_t> sent_fine_;
   std::vector<std::uint64_t> recv_fine_;
   std::vector<std::uint8_t> active_;
   std::vector<std::uint64_t> touched_;
-  // Scratch for finalize_into's per-fold cluster reduction, allocated
-  // lazily on the first finalize (absorb-source lanes never need it).
-  std::vector<std::uint64_t> cluster_sent_;
-  std::vector<std::uint64_t> cluster_recv_;
-  std::vector<std::uint8_t> cluster_active_;
-  std::vector<std::uint64_t> cluster_touched_;
 };
 
 /// The recorded superstep sequence plus memoized cumulative tables.

@@ -215,5 +215,24 @@ TEST(Schedule, ReplayRejectsOutOfRangeLabels) {
   EXPECT_THROW((void)schedule.replay_trace(), std::invalid_argument);
 }
 
+TEST(Schedule, ReplayRejectsOutOfRangeEndpoints) {
+  // An endpoint >= v has no crossing level on M(v); counting it would
+  // index past the accumulator's lanes.
+  for (const ScheduleSend event :
+       {ScheduleSend{0, 9}, ScheduleSend{9, 0}, ScheduleSend{4, 4},
+        ScheduleSend{1, ~std::uint64_t{0}}}) {
+    Schedule schedule;
+    schedule.log_v = 2;
+    schedule.steps.push_back(ScheduleStep(0, {ScheduleSend{0, 3}, event}));
+    EXPECT_THROW((void)schedule.replay_trace(), std::invalid_argument)
+        << event.src << " -> " << event.dst;
+  }
+  // In-range endpoints, self-messages included, still replay.
+  Schedule ok;
+  ok.log_v = 2;
+  ok.steps.push_back(ScheduleStep(0, {ScheduleSend{0, 3}, ScheduleSend{3, 3}}));
+  EXPECT_EQ(ok.replay_trace().steps().at(0).degree[2], 1u);
+}
+
 }  // namespace
 }  // namespace nobl
