@@ -29,7 +29,7 @@ int main() {
       worst_ratio = std::max(worst_ratio, cell.ratio_lb);
     }
     std::cout << "  " << run.algorithm << " n=" << run.n << " [" << run.engine
-              << "]  supersteps=" << run.supersteps
+              << "]  supersteps=" << run.tables.supersteps()
               << "  worst H/LB=" << worst_ratio
               << "  alpha=" << run.certification.alpha
               << "  guarantee=" << run.certification.guarantee() << "\n";

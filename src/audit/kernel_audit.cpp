@@ -166,12 +166,8 @@ KernelVerdict audit_kernel(const AlgoEntry& entry, std::uint64_t n) {
   verdict.matches_registry =
       verdict.data_dependent == !entry.input_independent;
 
-  Schedule schedule;
-  RunOptions record;
-  record.backend = BackendKind::kRecord;
-  record.capture = &schedule;
-  const Trace trace = entry.runner(n, record);
-  verdict.lint = lint_schedule(schedule, trace);
+  const Trace trace = entry.runner(n, BackendKind::kCost);
+  verdict.lint = lint_degree_structure(trace);
   merge_into(verdict.lint,
              lint_against_formulas(trace, n, entry.predicted, entry.lower_bound,
                                    entry.exact_h, entry.name));

@@ -13,16 +13,17 @@
 //      disagreement in either direction fails `nobl audit` and the pinned
 //      registry test.
 //
-//   2. Schedule lint — the kernel's recorded Schedule (BackendKind::kRecord
-//      at the same size) is checked against the structural invariants of
-//      the D-BSP specification model: per-label cluster containment,
-//      dummy-traffic discipline, local-fold degree structure, and the
-//      registry's predict::/lb:: formulas (exact for exact_h kernels, an
-//      envelope otherwise) — audit/schedule_lint.hpp. The pass executes
-//      the program once under record and replays the schedule once: the
-//      runner returns the replayed trace and moves (never copies) the
-//      schedule into RunOptions::capture, and both the event/degree lint
-//      and the formula reconciliation read that one trace.
+//   2. Trace lint — the kernel's trace under BackendKind::kCost at the same
+//      size is checked against the structural invariants of the D-BSP
+//      specification model and the registry's predict::/lb:: formulas
+//      (exact for exact_h kernels, an envelope otherwise) —
+//      audit/schedule_lint.hpp: per-step local-fold degree structure, and
+//      H(n, p, σ) against the closed forms. One cost run feeds both; no
+//      schedule is recorded. The event rules of lint_schedule (label and
+//      endpoint range, cluster containment, dummy discipline) cannot fire
+//      on a driver-executed program: the superstep driver already throws
+//      on the first three, send_dummy drops count 0 and send always counts
+//      one message. They stay for externally built schedules.
 //
 // Default audit size: the kernel's first smoke size, the same size the CI
 // smoke campaign exercises.
@@ -51,11 +52,11 @@ struct KernelVerdict {
   /// True iff verdict and annotation agree: data-dependent kernels must be
   /// annotated input_independent = false and vice versa.
   bool matches_registry = false;
-  /// Structural lint of the recorded schedule (empty == clean).
+  /// Structural and formula lint of the cost trace (empty == clean).
   ScheduleLintReport lint;
 
   /// The kernel passes the audit: verdict matches the annotation and the
-  /// recorded schedule lints clean.
+  /// trace lints clean.
   [[nodiscard]] bool passed() const noexcept {
     return matches_registry && lint.clean();
   }

@@ -85,13 +85,6 @@ ScheduleLintReport lint_schedule(const Schedule& schedule) {
   return report;
 }
 
-ScheduleLintReport lint_schedule(const Schedule& schedule,
-                                 const Trace& trace) {
-  ScheduleLintReport report = lint_events(schedule);
-  if (report.clean()) merge_into(report, lint_degree_structure(trace));
-  return report;
-}
-
 ScheduleLintReport lint_degree_structure(const Trace& trace) {
   return lint_degree_structure(
       std::span<const SuperstepRecord>(trace.steps()), trace.log_v());
@@ -135,7 +128,8 @@ ScheduleLintReport lint_degree_structure(std::span<const SuperstepRecord> steps,
   return report;
 }
 
-ScheduleLintReport lint_against_formulas(const Trace& trace, std::uint64_t n,
+ScheduleLintReport lint_against_formulas(const FoldTables& trace,
+                                         std::uint64_t n,
                                          const CostFormula& predicted,
                                          const CostFormula& lower_bound,
                                          bool exact_h,

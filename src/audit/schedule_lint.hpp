@@ -18,15 +18,19 @@
 //                     folds h(2^j) <= 2 h(2^{j+1}), because a fold-2^j
 //                     processor is the union of two fold-2^{j+1} processors
 //                     (max(sent, recv) at most doubles under merging);
-//   * formula reconciliation — H(n, p, σ) computed from the replayed trace
-//                     must equal the registry's predict:: closed form for
+//   * formula reconciliation — H(n, p, σ) computed from the trace's fold
+//                     sums must equal the registry's predict:: closed form for
 //                     exact-H kernels, and stay inside a fixed envelope
 //                     of [lower bound, predicted] for the O(·) kernels, so
 //                     silent formula drift becomes a CI failure.
 //
-// The degree checks take a TraceLike-independent Trace so they also apply to
-// traces deserialized from the binary store (where corruption, unlike
-// replay, can actually produce impossible degree vectors).
+// The degree checks read a Trace's supersteps, so they apply to any trace:
+// the cost run the audit lints (audit/kernel_audit.hpp), a replayed
+// schedule, or a trace deserialized from the binary store (where
+// corruption, unlike execution, can actually produce impossible degree
+// vectors). The event checks need a Schedule; the audit does not record
+// one, because no driver-executed program can break them (the superstep
+// driver throws first), so they serve schedules built outside the drivers.
 #pragma once
 
 #include <cstdint>
@@ -58,16 +62,6 @@ struct ScheduleLintReport {
 /// on the out-of-range labels they report.
 [[nodiscard]] ScheduleLintReport lint_schedule(const Schedule& schedule);
 
-/// The same rules, in the same order, with the replay supplied: `trace`
-/// must be `schedule.replay_trace()` (or the trace of the run that recorded
-/// the schedule — bit-identical). The audit lints each kernel from one
-/// record run and one replay this way: run_for_trace returns the replayed
-/// trace and moves the schedule into RunOptions::capture, and that one
-/// trace feeds both this lint and lint_against_formulas. The degree checks
-/// still run only when the event checks are clean.
-[[nodiscard]] ScheduleLintReport lint_schedule(const Schedule& schedule,
-                                               const Trace& trace);
-
 /// Degree-structure checks alone: per-step, degree[j] == 0 for j <= label
 /// and degree[j] <= 2 degree[j+1]. Valid on any trace, including ones read
 /// back from the binary store.
@@ -85,7 +79,7 @@ struct ScheduleLintReport {
 ///   measured <= kEnvelopeFactor · predicted  and
 ///   lower_bound <= kEnvelopeFactor · measured.
 [[nodiscard]] ScheduleLintReport lint_against_formulas(
-    const Trace& trace, std::uint64_t n, const CostFormula& predicted,
+    const FoldTables& trace, std::uint64_t n, const CostFormula& predicted,
     const CostFormula& lower_bound, bool exact_h, const std::string& name);
 
 /// Constant-factor slack allowed between an O(·)/Ω(·) closed form and the

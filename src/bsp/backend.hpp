@@ -90,7 +90,6 @@ inline constexpr std::size_t kBackendCount =
 /// Every backend, in declaration order (registry entries default to this).
 [[nodiscard]] const std::vector<BackendKind>& all_backend_kinds();
 
-struct Schedule;
 class TraceWriter;
 
 /// How to execute one specification-model run: which backend interprets the
@@ -100,11 +99,6 @@ class TraceWriter;
 struct RunOptions {
   ExecutionPolicy policy{};
   BackendKind backend = BackendKind::kSimulate;
-  /// When non-null and backend == kRecord, run_for_trace moves the
-  /// captured Schedule here after replaying it — the seam the audit layer
-  /// uses to lint a kernel's recorded communication pattern from the same
-  /// record run and replay that produced the returned trace.
-  Schedule* capture = nullptr;
 
   RunOptions() = default;
   // NOLINTNEXTLINE(runtime/explicit): deliberate converting constructor
@@ -397,13 +391,6 @@ class RecordBackend : public CostBackend {
 
   [[nodiscard]] const Schedule& schedule() const noexcept { return schedule_; }
 
-  /// Move the captured schedule out and stop capturing: later supersteps
-  /// are still counted into trace(), but no longer recorded.
-  [[nodiscard]] Schedule take_schedule() noexcept {
-    set_capture(nullptr);
-    return std::move(schedule_);
-  }
-
  private:
   Schedule schedule_;
 };
@@ -411,9 +398,7 @@ class RecordBackend : public CostBackend {
 /// Run `program` (a callable taking `auto& backend`) on a machine of v VPs
 /// under the selected backend and return the recorded trace. The record
 /// backend returns the trace re-derived from its Schedule, so every
-/// `--backend record` run exercises the record -> replay path end to end;
-/// with `options.capture` set, the replayed schedule is then moved (not
-/// copied) into it.
+/// `--backend record` run exercises the record -> replay path end to end.
 template <typename Payload, typename ProgramFn>
 [[nodiscard]] Trace run_for_trace(std::uint64_t v, const RunOptions& options,
                                   ProgramFn&& program) {
@@ -426,11 +411,7 @@ template <typename Payload, typename ProgramFn>
     case BackendKind::kRecord: {
       RecordBackend backend(v);
       program(backend);
-      Trace trace = backend.schedule().replay_trace();
-      if (options.capture != nullptr) {
-        *options.capture = backend.take_schedule();
-      }
-      return trace;
+      return backend.schedule().replay_trace();
     }
     case BackendKind::kAnalytic:
       // Only the registry layer can answer analytically: it knows the

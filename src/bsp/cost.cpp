@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "bsp/trace_store.hpp"
-
 namespace nobl {
 
 void DbspParams::validate() const {
@@ -32,13 +30,11 @@ double DbspParams::max_ell_over_g() const {
   return best;
 }
 
-// The cost queries below are O(log p) (communication_complexity O(1)) over
-// the trace's memoized per-label tables instead of O(supersteps) rescans —
-// certify_optimality and the bench tables evaluate them inside nested
-// fold × σ sweeps, so this is the analysis hot path.
+// The cost queries below are O(log p) over the trace's per-label fold sums,
+// independent of the number of supersteps — certify_optimality and the
+// bench tables evaluate them inside nested fold × σ sweeps.
 
-template <typename TraceLike>
-double communication_complexity(const TraceLike& trace, unsigned log_p,
+double communication_complexity(const FoldTables& trace, unsigned log_p,
                                 double sigma) {
   if (log_p > trace.log_v()) {
     throw std::out_of_range("communication_complexity: fold too large");
@@ -48,8 +44,7 @@ double communication_complexity(const TraceLike& trace, unsigned log_p,
          sigma * static_cast<double>(trace.total_S(log_p));
 }
 
-template <typename TraceLike>
-double communication_time(const TraceLike& trace, const DbspParams& params) {
+double communication_time(const FoldTables& trace, const DbspParams& params) {
   const unsigned log_p = params.log_p();
   if (log_p > trace.log_v()) {
     throw std::out_of_range("communication_time: fold too large");
@@ -66,8 +61,7 @@ double communication_time(const TraceLike& trace, const DbspParams& params) {
   return total;
 }
 
-template <typename TraceLike>
-std::vector<double> communication_time_by_level(const TraceLike& trace,
+std::vector<double> communication_time_by_level(const FoldTables& trace,
                                                 const DbspParams& params) {
   const unsigned log_p = params.log_p();
   if (log_p > trace.log_v()) {
@@ -83,18 +77,5 @@ std::vector<double> communication_time_by_level(const TraceLike& trace,
   }
   return out;
 }
-
-// Explicit instantiations: the in-memory Trace and the mmap-backed reader.
-template double communication_complexity<Trace>(const Trace&, unsigned,
-                                                double);
-template double communication_complexity<TraceReader>(const TraceReader&,
-                                                      unsigned, double);
-template double communication_time<Trace>(const Trace&, const DbspParams&);
-template double communication_time<TraceReader>(const TraceReader&,
-                                                const DbspParams&);
-template std::vector<double> communication_time_by_level<Trace>(
-    const Trace&, const DbspParams&);
-template std::vector<double> communication_time_by_level<TraceReader>(
-    const TraceReader&, const DbspParams&);
 
 }  // namespace nobl

@@ -43,27 +43,22 @@ struct DbspParams {
   [[nodiscard]] double max_ell_over_g() const;
 };
 
-// The cost functions are templates over any TraceLike — a type exposing
-// Trace's cumulative-query surface (log_v / S / F / total_F / total_S).
-// Definitions live in cost.cpp with explicit instantiations for the two
-// providers: the in-memory Trace and the mmap-backed TraceReader
-// (bsp/trace_store.hpp), so certification runs directly off a binary trace
-// file without materializing it.
+// The cost functions read only a trace's fold sums (bsp/trace.hpp), so they
+// take a FoldTables: an in-memory Trace, the mmap-backed TraceReader
+// (bsp/trace_store.hpp) and a bare FoldTables (a served cache entry) all
+// answer them without materializing supersteps.
 
 /// Communication complexity on M(2^log_p, σ), Eq. (1).
-template <typename TraceLike>
-[[nodiscard]] double communication_complexity(const TraceLike& trace,
+[[nodiscard]] double communication_complexity(const FoldTables& trace,
                                               unsigned log_p, double sigma);
 
 /// Communication time on a D-BSP, Eq. (2). params.log_p() must not exceed
 /// trace.log_v().
-template <typename TraceLike>
-[[nodiscard]] double communication_time(const TraceLike& trace,
+[[nodiscard]] double communication_time(const FoldTables& trace,
                                         const DbspParams& params);
 
 /// Per-level additive contributions to Eq. (2): out[i] = F^i g_i + S^i ℓ_i.
-template <typename TraceLike>
 [[nodiscard]] std::vector<double> communication_time_by_level(
-    const TraceLike& trace, const DbspParams& params);
+    const FoldTables& trace, const DbspParams& params);
 
 }  // namespace nobl

@@ -100,7 +100,13 @@ void DegreeAccumulator::finalize_into(SuperstepRecord& record) {
   messages_ = 0;
 }
 
-void Trace::append(SuperstepRecord record) {
+FoldTables::FoldTables(unsigned log_v)
+    : log_v_(log_v),
+      label_F_(static_cast<std::size_t>(label_bound()) * (log_v + 1u), 0),
+      label_peak_(label_F_.size(), 0),
+      label_S_(label_bound(), 0) {}
+
+void FoldTables::add(const SuperstepRecord& record) {
   if (record.degree.size() != static_cast<std::size_t>(log_v_) + 1) {
     throw std::invalid_argument("Trace::append: degree vector size mismatch");
   }
@@ -110,83 +116,75 @@ void Trace::append(SuperstepRecord record) {
   if (record.degree[0] != 0) {
     throw std::invalid_argument("Trace::append: nonzero degree at fold p=1");
   }
+  ++supersteps_;
   total_messages_ += record.messages;
   max_label_ = std::max(max_label_, record.label);
-  cache_valid_ = false;
-  steps_.push_back(std::move(record));
+  ++label_S_[record.label];
+  for (unsigned j = 0; j <= log_v_; ++j) {
+    const std::size_t k = at(record.label, j);
+    label_F_[k] += record.degree[j];
+    label_peak_[k] = std::max(label_peak_[k], record.degree[j]);
+  }
 }
 
-void Trace::ensure_cache() const {
-  if (cache_valid_) return;
-  const unsigned bound = label_bound();
-  const std::size_t folds = static_cast<std::size_t>(log_v_) + 1;
-  label_F_.assign(bound * folds, 0);
-  label_peak_.assign(bound * folds, 0);
-  label_S_.assign(bound, 0);
-  for (const auto& s : steps_) {
-    const std::size_t base = s.label * folds;
-    ++label_S_[s.label];
-    for (std::size_t j = 0; j < folds; ++j) {
-      label_F_[base + j] += s.degree[j];
-      label_peak_[base + j] = std::max(label_peak_[base + j], s.degree[j]);
-    }
+void FoldTables::check_log_p(unsigned log_p) const {
+  if (log_p > log_v_) {
+    throw std::out_of_range("Trace: fold larger than specification model");
   }
-  cum_F_.assign((bound + 1) * folds, 0);
-  cum_S_.assign(bound + 1, 0);
-  for (unsigned i = 0; i < bound; ++i) {
-    cum_S_[i + 1] = cum_S_[i] + label_S_[i];
-    for (std::size_t j = 0; j < folds; ++j) {
-      cum_F_[(i + 1) * folds + j] =
-          cum_F_[i * folds + j] + label_F_[i * folds + j];
-    }
-  }
-  cache_valid_ = true;
 }
 
-std::uint64_t Trace::S(unsigned label) const {
-  ensure_cache();
+std::uint64_t FoldTables::S(unsigned label) const {
   return label < label_bound() ? label_S_[label] : 0;
 }
 
-std::uint64_t Trace::F(unsigned label, unsigned log_p) const {
+std::uint64_t FoldTables::F(unsigned label, unsigned log_p) const {
   check_log_p(log_p);
-  ensure_cache();
-  if (label >= label_bound()) return 0;
-  return label_F_[label * (static_cast<std::size_t>(log_v_) + 1) + log_p];
+  return label < label_bound() ? label_F_[at(label, log_p)] : 0;
 }
 
-std::uint64_t Trace::total_F(unsigned log_p) const {
+std::uint64_t FoldTables::total_F(unsigned log_p) const {
   return partial_F(log_p, log_p);
 }
 
-std::uint64_t Trace::partial_F(unsigned label_bound, unsigned log_p) const {
+std::uint64_t FoldTables::partial_F(unsigned label_bound,
+                                    unsigned log_p) const {
   check_log_p(log_p);
-  ensure_cache();
   const unsigned clamped = std::min(label_bound, this->label_bound());
-  return cum_F_[clamped * (static_cast<std::size_t>(log_v_) + 1) + log_p];
+  std::uint64_t sum = 0;
+  for (unsigned i = 0; i < clamped; ++i) sum += label_F_[at(i, log_p)];
+  return sum;
 }
 
-std::uint64_t Trace::total_S(unsigned log_p) const {
+std::uint64_t FoldTables::total_S(unsigned log_p) const {
   check_log_p(log_p);
-  ensure_cache();
-  return cum_S_[std::min(log_p, label_bound())];
+  const unsigned clamped = std::min(log_p, label_bound());
+  std::uint64_t sum = 0;
+  for (unsigned i = 0; i < clamped; ++i) sum += label_S_[i];
+  return sum;
 }
 
-std::uint64_t Trace::peak_degree(unsigned label, unsigned log_p) const {
+std::uint64_t FoldTables::peak_degree(unsigned label, unsigned log_p) const {
   check_log_p(log_p);
-  ensure_cache();
-  if (label >= label_bound()) return 0;
-  return label_peak_[label * (static_cast<std::size_t>(log_v_) + 1) + log_p];
+  return label < label_bound() ? label_peak_[at(label, log_p)] : 0;
+}
+
+std::size_t FoldTables::table_bytes() const noexcept {
+  return (label_F_.capacity() + label_peak_.capacity() +
+          label_S_.capacity()) *
+         sizeof(std::uint64_t);
+}
+
+void Trace::append(SuperstepRecord record) {
+  add(record);
+  steps_.push_back(std::move(record));
 }
 
 void Trace::extend(const Trace& other) {
-  if (other.log_v_ != log_v_) {
+  if (other.log_v() != log_v()) {
     throw std::invalid_argument("Trace::extend: incompatible machine sizes");
   }
-  total_messages_ += other.total_messages_;
-  max_label_ = std::max(max_label_, other.max_label_);
-  cache_valid_ = false;
-  steps_.insert(steps_.end(), other.steps_.begin(), other.steps_.end());
+  steps_.reserve(steps_.size() + other.steps_.size());
+  for (const SuperstepRecord& record : other.steps_) append(record);
 }
 
 }  // namespace nobl

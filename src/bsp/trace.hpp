@@ -15,10 +15,9 @@
 // processors (messages between VPs folded onto the same processor become
 // local memory traffic; cf. the folding discussion before Lemma 3.1).
 //
-// Because the metric sweeps (wiseness α, fullness γ, certify_optimality, the
-// bench tables) evaluate S/F-style sums inside nested fold × σ loops, Trace
-// memoizes per-label cumulative tables so every accessor answers in O(1)
-// after an O(supersteps · log v) build; see the cache notes on Trace below.
+// Those metrics need only per-label sums over the supersteps, which
+// FoldTables keeps up to date as each superstep is added; Trace and the
+// binary-store reader (bsp/trace_store.hpp) both derive from it.
 #pragma once
 
 #include <bit>
@@ -178,37 +177,45 @@ class DegreeAccumulator {
   std::vector<std::uint64_t> touched_;
 };
 
-/// The recorded superstep sequence plus memoized cumulative tables.
+/// The per-label fold sums behind every cost query: S^i, F^i(n, 2^j) and the
+/// per-label peak degree, O(log² v) words however many supersteps were
+/// added. Every metric of the paper (H, D, α, γ, certification) is a
+/// function of these sums alone, so evaluation reads a FoldTables and never
+/// the supersteps themselves.
 ///
-/// Caching: the per-label sums backing S/F/total_F/partial_F/total_S and
-/// peak_degree are built lazily on first query and invalidated by append()
-/// and extend(), so interleaved record/query phases stay correct and a pure
-/// query phase pays one O(supersteps · log v) build for O(1) lookups
-/// thereafter. The lazy build mutates cache state under const: concurrent
-/// first queries from multiple threads are not synchronized (the engine only
-/// appends single-threaded at the sync and analyses run after the fact).
-class Trace {
+/// The tables are built one record at a time by add() — Trace::append and
+/// TraceReader's indexing pass are its only callers — and hold no lazy or
+/// `mutable` state, so a shared const FoldTables (or Trace, or TraceReader)
+/// is safe to query from several threads at once. S, F and peak_degree are
+/// O(1) lookups; the cumulative sums partial_F and total_S add up at most
+/// log v per-label entries per query.
+class FoldTables {
  public:
-  Trace() = default;
-  explicit Trace(unsigned log_v) : log_v_(log_v) {}
+  FoldTables() : FoldTables(0) {}
+  explicit FoldTables(unsigned log_v);
 
   [[nodiscard]] unsigned log_v() const noexcept { return log_v_; }
   [[nodiscard]] std::uint64_t v() const noexcept {
     return std::uint64_t{1} << log_v_;
   }
-  [[nodiscard]] std::size_t supersteps() const noexcept {
-    return steps_.size();
-  }
-  [[nodiscard]] const std::vector<SuperstepRecord>& steps() const noexcept {
-    return steps_;
-  }
-
   /// Number of representable superstep labels (nobl::label_bound).
   [[nodiscard]] unsigned label_bound() const noexcept {
     return nobl::label_bound(log_v_);
   }
+  [[nodiscard]] std::size_t supersteps() const noexcept { return supersteps_; }
 
-  void append(SuperstepRecord record);
+  /// Total messages routed (including dummy messages), across all supersteps.
+  [[nodiscard]] std::uint64_t total_messages() const noexcept {
+    return total_messages_;
+  }
+
+  /// Largest superstep label present.
+  [[nodiscard]] unsigned max_label() const noexcept { return max_label_; }
+
+  /// Fold one superstep into the sums. Throws std::invalid_argument unless
+  /// the degree vector has log_v + 1 folds, degree[0] == 0, and the label
+  /// is below label_bound().
+  void add(const SuperstepRecord& record);
 
   /// S^i(n): the number of i-supersteps.
   [[nodiscard]] std::uint64_t S(unsigned label) const;
@@ -234,47 +241,53 @@ class Trace {
   [[nodiscard]] std::uint64_t peak_degree(unsigned label,
                                           unsigned log_p) const;
 
-  /// Total messages routed (including dummy messages), across all supersteps.
-  [[nodiscard]] std::uint64_t total_messages() const noexcept {
-    return total_messages_;
+  /// Heap bytes held by the tables (a Trace's supersteps not included): the
+  /// O(log² v) residency a TraceReader keeps besides its mapping.
+  [[nodiscard]] std::size_t table_bytes() const noexcept;
+
+ private:
+  /// Throws std::out_of_range for a fold larger than the machine.
+  void check_log_p(unsigned log_p) const;
+  [[nodiscard]] std::size_t at(unsigned label, unsigned log_p) const noexcept {
+    return label * (static_cast<std::size_t>(log_v_) + 1) + log_p;
   }
 
-  /// Largest superstep label present.
-  [[nodiscard]] unsigned max_label() const noexcept { return max_label_; }
+  unsigned log_v_ = 0;
+  std::size_t supersteps_ = 0;
+  std::uint64_t total_messages_ = 0;
+  unsigned max_label_ = 0;
+  // Flattened with stride log_v + 1 over folds:
+  //   label_F_[at(i, j)]    = Σ over i-supersteps of degree[j]
+  //   label_peak_[at(i, j)] = max over i-supersteps of degree[j]
+  //   label_S_[i]           = S^i
+  std::vector<std::uint64_t> label_F_;
+  std::vector<std::uint64_t> label_peak_;
+  std::vector<std::uint64_t> label_S_;
+};
+
+/// The recorded superstep sequence, with its FoldTables kept current on
+/// every append. steps() serves the readers that need the supersteps
+/// themselves (export, the degree-structure lint, the ascend-descend
+/// transform); every cost query goes through the FoldTables base.
+class Trace : public FoldTables {
+ public:
+  Trace() = default;
+  explicit Trace(unsigned log_v) : FoldTables(log_v) {}
+
+  [[nodiscard]] const std::vector<SuperstepRecord>& steps() const noexcept {
+    return steps_;
+  }
+
+  /// Validate `record` (FoldTables::add), fold it into the tables and keep
+  /// it.
+  void append(SuperstepRecord record);
 
   /// Concatenate another trace after this one (used to compose phases of an
   /// algorithm that is driven in separate machine runs).
   void extend(const Trace& other);
 
  private:
-  void check_log_p(unsigned log_p) const {
-    if (log_p > log_v_) {
-      throw std::out_of_range("Trace: fold larger than specification model");
-    }
-  }
-
-  /// (Re)build the cumulative tables if invalidated. Const because every
-  /// accessor is a pure function of steps_; see the class comment for the
-  /// concurrency caveat.
-  void ensure_cache() const;
-
-  unsigned log_v_ = 0;
   std::vector<SuperstepRecord> steps_;
-  std::uint64_t total_messages_ = 0;  ///< maintained eagerly on append/extend
-  unsigned max_label_ = 0;            ///< maintained eagerly on append/extend
-
-  // Memoized tables, all flattened with stride log_v_ + 1 over folds:
-  //   label_F_[i][j]  = Σ over i-supersteps of degree[j]
-  //   label_peak_[i][j] = max over i-supersteps of degree[j]
-  //   label_S_[i]     = S^i
-  //   cum_F_[L][j]    = Σ_{i < L} label_F_[i][j]   (L = 0 .. label_bound())
-  //   cum_S_[L]       = Σ_{i < L} label_S_[i]
-  mutable bool cache_valid_ = false;
-  mutable std::vector<std::uint64_t> label_F_;
-  mutable std::vector<std::uint64_t> label_peak_;
-  mutable std::vector<std::uint64_t> label_S_;
-  mutable std::vector<std::uint64_t> cum_F_;
-  mutable std::vector<std::uint64_t> cum_S_;
 };
 
 }  // namespace nobl

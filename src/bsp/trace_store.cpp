@@ -377,20 +377,12 @@ TraceReader TraceReader::from_bytes(std::string bytes) {
 TraceReader::~TraceReader() { unmap(); }
 
 TraceReader::TraceReader(TraceReader&& other) noexcept
-    : owned_(std::move(other.owned_)),
+    : FoldTables(std::move(other)),
+      owned_(std::move(other.owned_)),
       map_(std::exchange(other.map_, nullptr)),
       map_size_(std::exchange(other.map_size_, 0)),
       size_(other.size_),
-      log_v_(other.log_v_),
-      supersteps_(other.supersteps_),
-      total_messages_(other.total_messages_),
-      max_label_(other.max_label_),
-      peak_live_blocks_(other.peak_live_blocks_),
-      label_F_(std::move(other.label_F_)),
-      label_peak_(std::move(other.label_peak_)),
-      label_S_(std::move(other.label_S_)),
-      cum_F_(std::move(other.cum_F_)),
-      cum_S_(std::move(other.cum_S_)) {
+      peak_live_blocks_(other.peak_live_blocks_) {
   data_ = map_ != nullptr
               ? static_cast<const unsigned char*>(map_)
               : reinterpret_cast<const unsigned char*>(owned_.data());
@@ -401,20 +393,12 @@ TraceReader::TraceReader(TraceReader&& other) noexcept
 TraceReader& TraceReader::operator=(TraceReader&& other) noexcept {
   if (this == &other) return *this;
   unmap();
+  FoldTables::operator=(std::move(other));
   owned_ = std::move(other.owned_);
   map_ = std::exchange(other.map_, nullptr);
   map_size_ = std::exchange(other.map_size_, 0);
   size_ = other.size_;
-  log_v_ = other.log_v_;
-  supersteps_ = other.supersteps_;
-  total_messages_ = other.total_messages_;
-  max_label_ = other.max_label_;
   peak_live_blocks_ = other.peak_live_blocks_;
-  label_F_ = std::move(other.label_F_);
-  label_peak_ = std::move(other.label_peak_);
-  label_S_ = std::move(other.label_S_);
-  cum_F_ = std::move(other.cum_F_);
-  cum_S_ = std::move(other.cum_S_);
   data_ = map_ != nullptr
               ? static_cast<const unsigned char*>(map_)
               : reinterpret_cast<const unsigned char*>(owned_.data());
@@ -433,95 +417,22 @@ void TraceReader::unmap() noexcept {
 
 void TraceReader::build_index() {
   Cursor cursor{data_, size_, 0};
-  log_v_ = parse_header(cursor);
-  const unsigned bound = label_bound();
-  const std::size_t folds = static_cast<std::size_t>(log_v_) + 1;
-  label_F_.assign(bound * folds, 0);
-  label_peak_.assign(bound * folds, 0);
-  label_S_.assign(bound, 0);
-  supersteps_ = 0;
-  total_messages_ = 0;
-  max_label_ = 0;
+  FoldTables::operator=(FoldTables(parse_header(cursor)));
   walk_blocks(
-      data_, size_, log_v_,
-      [&](const SuperstepRecord& record) {
-        const std::size_t base = record.label * folds;
-        ++label_S_[record.label];
-        for (std::size_t j = 0; j < folds; ++j) {
-          label_F_[base + j] += record.degree[j];
-          label_peak_[base + j] =
-              std::max(label_peak_[base + j], record.degree[j]);
-        }
-        ++supersteps_;
-        total_messages_ += record.messages;
-        max_label_ = std::max(max_label_, record.label);
-      },
+      data_, size_, log_v(),
+      [this](const SuperstepRecord& record) { add(record); },
       &peak_live_blocks_);
-  cum_F_.assign((bound + 1) * folds, 0);
-  cum_S_.assign(bound + 1, 0);
-  for (unsigned i = 0; i < bound; ++i) {
-    cum_S_[i + 1] = cum_S_[i] + label_S_[i];
-    for (std::size_t j = 0; j < folds; ++j) {
-      cum_F_[(i + 1) * folds + j] =
-          cum_F_[i * folds + j] + label_F_[i * folds + j];
-    }
-  }
-}
-
-void TraceReader::check_log_p(unsigned log_p) const {
-  if (log_p > log_v_) {
-    throw std::out_of_range(
-        "TraceReader: fold larger than specification model");
-  }
-}
-
-std::uint64_t TraceReader::S(unsigned label) const {
-  return label < label_bound() ? label_S_[label] : 0;
-}
-
-std::uint64_t TraceReader::F(unsigned label, unsigned log_p) const {
-  check_log_p(log_p);
-  if (label >= label_bound()) return 0;
-  return label_F_[label * (static_cast<std::size_t>(log_v_) + 1) + log_p];
-}
-
-std::uint64_t TraceReader::total_F(unsigned log_p) const {
-  return partial_F(log_p, log_p);
-}
-
-std::uint64_t TraceReader::partial_F(unsigned label_bound,
-                                     unsigned log_p) const {
-  check_log_p(log_p);
-  const unsigned clamped = std::min(label_bound, this->label_bound());
-  return cum_F_[clamped * (static_cast<std::size_t>(log_v_) + 1) + log_p];
-}
-
-std::uint64_t TraceReader::total_S(unsigned log_p) const {
-  check_log_p(log_p);
-  return cum_S_[std::min(log_p, label_bound())];
-}
-
-std::uint64_t TraceReader::peak_degree(unsigned label, unsigned log_p) const {
-  check_log_p(log_p);
-  if (label >= label_bound()) return 0;
-  return label_peak_[label * (static_cast<std::size_t>(log_v_) + 1) + log_p];
 }
 
 void TraceReader::for_each_step(
     const std::function<void(const SuperstepRecord&)>& fn) const {
-  walk_blocks(data_, size_, log_v_, fn, &peak_live_blocks_);
+  walk_blocks(data_, size_, log_v(), fn, nullptr);
 }
 
 Trace TraceReader::materialize() const {
-  Trace trace(log_v_);
+  Trace trace(log_v());
   for_each_step([&](const SuperstepRecord& record) { trace.append(record); });
   return trace;
-}
-
-std::size_t TraceReader::resident_bytes() const noexcept {
-  return (label_F_.capacity() + label_peak_.capacity() + label_S_.capacity() +
-          cum_F_.capacity() + cum_S_.capacity()) *
-         sizeof(std::uint64_t);
 }
 
 }  // namespace nobl

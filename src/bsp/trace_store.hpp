@@ -34,11 +34,11 @@
 //     RecordBackend flush finalized supersteps into it one by one
 //     (CostBackend::stream_to), so recording never materializes the trace.
 //
-//   TraceReader — mmap-backed (or over an owned buffer), exposing the same
-//     cumulative-query surface as Trace (S / F / total_F / partial_F /
-//     total_S / peak_degree, all O(1) after one indexing pass) without
-//     materializing the file: the index is O(log² v) and blocks are decoded
-//     one at a time (peak_live_blocks() == 1, asserted in tests).
+//   TraceReader — mmap-backed (or over an owned buffer), a FoldTables like
+//     Trace (S / F / total_F / partial_F / total_S / peak_degree after one
+//     indexing pass) without materializing the file: the tables are
+//     O(log² v) and blocks are decoded one at a time
+//     (peak_live_blocks() == 1, asserted in tests).
 #pragma once
 
 #include <cstdint>
@@ -111,11 +111,12 @@ class TraceWriter {
 /// Reader over a binary trace: mmap-backed when constructed from a path,
 /// buffer-backed via from_bytes (tests, istream round-trips). Construction
 /// runs one streaming validation+indexing pass — every checksum, the
-/// footer, and all Trace::append invariants are checked up front — after
-/// which the cumulative queries mirror Trace's surface at O(1) each. The
-/// file itself is never materialized: for_each_step decodes one block at a
-/// time (peak_live_blocks() == 1) and the index is O(log² v).
-class TraceReader {
+/// footer, and all Trace::append invariants are checked up front — that
+/// feeds each decoded block to the FoldTables base, so every cost query
+/// answers exactly as on the equivalent Trace. The file itself is never
+/// materialized: for_each_step decodes one block at a time
+/// (peak_live_blocks() == 1) and the tables are O(log² v).
+class TraceReader : public FoldTables {
  public:
   /// Map `path` read-only and index it. Throws std::invalid_argument on
   /// open/map failure or any format violation (message carries the byte
@@ -131,32 +132,6 @@ class TraceReader {
   TraceReader(const TraceReader&) = delete;
   TraceReader& operator=(const TraceReader&) = delete;
 
-  [[nodiscard]] unsigned log_v() const noexcept { return log_v_; }
-  [[nodiscard]] std::uint64_t v() const noexcept {
-    return std::uint64_t{1} << log_v_;
-  }
-  [[nodiscard]] unsigned label_bound() const noexcept {
-    return nobl::label_bound(log_v_);
-  }
-  [[nodiscard]] std::size_t supersteps() const noexcept {
-    return supersteps_;
-  }
-  [[nodiscard]] std::uint64_t total_messages() const noexcept {
-    return total_messages_;
-  }
-  [[nodiscard]] unsigned max_label() const noexcept { return max_label_; }
-
-  // The Trace cumulative-query surface (same semantics, same O(1) cost;
-  // out-of-range folds throw std::out_of_range exactly like Trace).
-  [[nodiscard]] std::uint64_t S(unsigned label) const;
-  [[nodiscard]] std::uint64_t F(unsigned label, unsigned log_p) const;
-  [[nodiscard]] std::uint64_t total_F(unsigned log_p) const;
-  [[nodiscard]] std::uint64_t partial_F(unsigned label_bound,
-                                        unsigned log_p) const;
-  [[nodiscard]] std::uint64_t total_S(unsigned log_p) const;
-  [[nodiscard]] std::uint64_t peak_degree(unsigned label,
-                                          unsigned log_p) const;
-
   /// Decode block by block in file order, invoking `fn` on each record.
   /// The record buffer is reused across blocks — copy it to retain it.
   void for_each_step(
@@ -168,12 +143,10 @@ class TraceReader {
 
   /// Size of the underlying image in bytes.
   [[nodiscard]] std::size_t file_bytes() const noexcept { return size_; }
-  /// Index + decode-scratch footprint in bytes, excluding the mapping —
-  /// the O(log² v) residency the streaming-certification tests bound.
-  [[nodiscard]] std::size_t resident_bytes() const noexcept;
-  /// Maximum number of decoded superstep blocks ever live at once across
-  /// the indexing pass and every for_each_step walk (always 1: the
-  /// instrumented counter behind the O(log v) streaming claim).
+  /// Maximum number of decoded superstep blocks live at once during the
+  /// indexing pass (always 1: the instrumented counter behind the O(log v)
+  /// streaming claim; for_each_step decodes through the same one-record
+  /// walk).
   [[nodiscard]] std::size_t peak_live_blocks() const noexcept {
     return peak_live_blocks_;
   }
@@ -181,9 +154,8 @@ class TraceReader {
  private:
   TraceReader() = default;
 
-  void check_log_p(unsigned log_p) const;
-  /// One streaming pass: validate header/blocks/footer, build the same
-  /// per-label cumulative tables Trace memoizes.
+  /// One streaming pass: validate header/blocks/footer and add every block
+  /// to the FoldTables base.
   void build_index();
   void unmap() noexcept;
 
@@ -193,20 +165,7 @@ class TraceReader {
   std::size_t map_size_ = 0;
   const unsigned char* data_ = nullptr;
   std::size_t size_ = 0;
-
-  unsigned log_v_ = 0;
-  std::size_t supersteps_ = 0;
-  std::uint64_t total_messages_ = 0;
-  unsigned max_label_ = 0;
-  mutable std::size_t peak_live_blocks_ = 0;
-
-  // Cumulative tables, identical layout to Trace's memo (stride log_v + 1
-  // over folds).
-  std::vector<std::uint64_t> label_F_;
-  std::vector<std::uint64_t> label_peak_;
-  std::vector<std::uint64_t> label_S_;
-  std::vector<std::uint64_t> cum_F_;
-  std::vector<std::uint64_t> cum_S_;
+  std::size_t peak_live_blocks_ = 0;
 };
 
 /// True iff `bytes` opens with the binary-trace magic — the sniff the CLI

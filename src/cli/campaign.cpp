@@ -310,32 +310,30 @@ std::vector<std::string> builtin_campaign_names() {
 
 RunResult evaluate_run(const CampaignSpec& spec, const AlgoEntry& entry,
                        std::uint64_t n, BackendKind backend,
-                       const ExecutionPolicy& policy, Trace trace) {
+                       const ExecutionPolicy& policy,
+                       const FoldTables& tables) {
   RunResult run;
   run.algorithm = entry.name;
   run.engine = to_string(policy);
   run.backend = to_string(backend);
   run.n = n;
-  run.trace = std::move(trace);
-  run.log_v = run.trace.log_v();
-  run.supersteps = run.trace.supersteps();
-  run.messages = run.trace.total_messages();
+  run.tables = tables;
 
   const std::uint64_t top_fold =
-      spec.max_fold == 0 ? run.trace.v()
-                         : std::min<std::uint64_t>(spec.max_fold,
-                                                   run.trace.v());
+      spec.max_fold == 0
+          ? tables.v()
+          : std::min<std::uint64_t>(spec.max_fold, tables.v());
   for (const std::uint64_t p : pow2_range(top_fold)) {
     const unsigned log_p = log2_exact(p);
-    run.folds.push_back({p, wiseness_alpha(run.trace, log_p),
-                         fullness_gamma(run.trace, log_p)});
+    run.folds.push_back({p, wiseness_alpha(tables, log_p),
+                         fullness_gamma(tables, log_p)});
     const std::vector<double> grid =
         spec.sigmas.empty() ? sigma_grid(n, p) : spec.sigmas;
     for (const double sigma : grid) {
       CellResult cell;
       cell.p = p;
       cell.sigma = sigma;
-      cell.h = communication_complexity(run.trace, log_p, sigma);
+      cell.h = communication_complexity(tables, log_p, sigma);
       cell.predicted = entry.predicted(n, p, sigma);
       cell.lower_bound = entry.lower_bound(n, p, sigma);
       cell.ratio_predicted =
@@ -348,7 +346,7 @@ RunResult evaluate_run(const CampaignSpec& spec, const AlgoEntry& entry,
     const unsigned log_top = log2_exact(top_fold);
     const std::vector<double> grid =
         spec.sigmas.empty() ? sigma_grid(n, top_fold) : spec.sigmas;
-    run.certification = certify_optimality(run.trace, n, log_top,
+    run.certification = certify_optimality(tables, n, log_top,
                                            entry.lower_bound, grid);
   }
   return run;
@@ -424,9 +422,9 @@ void write_run_json(JsonWriter& w, const RunResult& run) {
   w.key("engine").value(run.engine);
   w.key("backend").value(run.backend.empty() ? "simulate" : run.backend);
   w.key("n").value(run.n);
-  w.key("log_v").value(run.log_v);
-  w.key("supersteps").value(run.supersteps);
-  w.key("messages").value(run.messages);
+  w.key("log_v").value(run.tables.log_v());
+  w.key("supersteps").value(run.tables.supersteps());
+  w.key("messages").value(run.tables.total_messages());
   w.key("cells").begin_array();
   for (const CellResult& cell : run.cells) {
     w.begin_object();

@@ -104,13 +104,11 @@ struct RunResult {
   /// to_string(kind): "simulate" | "cost" | "record" | "analytic"
   std::string backend;
   std::uint64_t n = 0;
-  unsigned log_v = 0;
-  std::uint64_t supersteps = 0;
-  std::uint64_t messages = 0;
   std::vector<CellResult> cells;
   std::vector<FoldResult> folds;
   OptimalityReport certification;  ///< at the top swept fold
-  Trace trace;                     ///< kept for `nobl trace --export`
+  /// The run's fold sums: log_v, supersteps, messages and every cost query.
+  FoldTables tables;
 };
 
 struct CampaignResult {
@@ -124,15 +122,15 @@ struct CampaignResult {
                                           std::ostream* progress = nullptr);
 
 /// Evaluate the full metric surface (cells, folds, certification) of one
-/// already-executed (algorithm, n, backend, engine) cell from its trace.
-/// This is the execution-free half of a campaign run: `nobl serve` calls it
-/// on cache-hit traces so a served cell is byte-identical to a fresh
-/// `run_campaign` cell by construction (same code path, same trace).
+/// already-executed (algorithm, n, backend, engine) cell from its trace's
+/// fold sums. This is the execution-free half of a campaign run: `nobl
+/// serve` calls it on cached tables so a served cell is byte-identical to a
+/// fresh `run_campaign` cell by construction (same code path, same sums).
 [[nodiscard]] RunResult evaluate_run(const CampaignSpec& spec,
                                      const AlgoEntry& entry, std::uint64_t n,
                                      BackendKind backend,
                                      const ExecutionPolicy& policy,
-                                     Trace trace);
+                                     const FoldTables& tables);
 
 /// Serialize `spec` back to the line-oriented campaign grammar, such that
 /// parse_campaign_spec(rendered) reproduces the spec. Used by the serve

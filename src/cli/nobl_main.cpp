@@ -6,7 +6,7 @@
 //   nobl convert  translate a trace between the csv and binary formats
 //   nobl list     enumerate registered algorithms and builtin campaigns
 //   nobl audit    static obliviousness verifier: taint-classify kernels,
-//                 lint recorded schedules (docs/AUDIT.md)
+//                 lint their cost traces (docs/AUDIT.md)
 //   nobl check    validate a result JSON, replay golden traces, or gate a
 //                 serve stats document, optionally against thresholds
 //   nobl serve    long-running campaign service over a local socket with a
@@ -424,8 +424,8 @@ int cmd_certify(const std::vector<std::string>& args) {
                   "beta_min", "guarantee", "folding (L3.1)"});
   for (const RunResult& run : result.runs) {
     bool folding = true;
-    for (unsigned log_p = 1; log_p <= run.log_v; ++log_p) {
-      folding = folding && folding_inequality_holds(run.trace, log_p);
+    for (unsigned log_p = 1; log_p <= run.tables.log_v(); ++log_p) {
+      folding = folding && folding_inequality_holds(run.tables, log_p);
     }
     verdicts.row()
         .add(run.algorithm)
@@ -515,22 +515,22 @@ int cmd_trace(const std::vector<std::string>& args) {
   }
 
   if (!export_dir.empty()) {
-    CampaignSpec spec = resolve_campaign(campaign_args);
+    const CampaignSpec spec = resolve_campaign(campaign_args);
     // Traces are engine- and backend-invariant: one (engine, backend) cell
-    // pins every other.
-    spec.engines = {spec.engines.front()};
-    spec.backends = {spec.backends.front()};
-    const CampaignResult result =
-        run_campaign(spec, quiet ? nullptr : &std::cerr);
+    // pins every other, and export needs the trace, not its evaluation.
+    const RunOptions options{spec.engines.front(), spec.backends.front()};
     std::filesystem::create_directories(export_dir);
     const bool binary = format == "bin";
-    for (const RunResult& run : result.runs) {
-      const std::filesystem::path path =
-          std::filesystem::path(export_dir) /
-          (run.algorithm + "_n" + std::to_string(run.n) +
-           (binary ? kTraceBinExtension : ".csv"));
-      save_trace(path.string(), run.trace, binary);
-      if (!quiet) std::cerr << "nobl: wrote " << path.string() << "\n";
+    for (const AlgoSweep& sweep : spec.sweeps) {
+      const AlgoEntry& entry = AlgoRegistry::instance().at(sweep.algorithm);
+      for (const std::uint64_t size : sweep.sizes) {
+        const std::filesystem::path path =
+            std::filesystem::path(export_dir) /
+            (entry.name + "_n" + std::to_string(size) +
+             (binary ? kTraceBinExtension : ".csv"));
+        save_trace(path.string(), entry.runner(size, options), binary);
+        if (!quiet) std::cerr << "nobl: wrote " << path.string() << "\n";
+      }
     }
     return 0;
   }
@@ -898,7 +898,7 @@ Server options:
                        omit for a memory-only cache)
   --workers N          worker threads executing cells (default 4)
   --queue N            bounded queue capacity in cells (default 256)
-  --memory-entries N   in-memory LRU capacity in traces (default 64)
+  --memory-entries N   in-memory LRU capacity in entries (default 64)
 
 Client options:
   --campaign NAME      builtin campaign to submit (see `nobl list`)
@@ -1061,10 +1061,9 @@ Runs two non-executing passes per kernel (docs/AUDIT.md):
      on destinations, dummy counts, or control flow marks the superstep
      data-dependent. The verdict is cross-checked against the registry's
      input_independent annotation.
-  2. schedule lint: the recorded schedule is checked against the D-BSP
-     structural invariants (cluster containment per label, dummy-traffic
-     discipline, degree structure) and the registry's predict::/lb::
-     formulas.
+  2. trace lint: the kernel's cost trace is checked against the D-BSP
+     degree structure (local folds at or above the label, at most doubling
+     per fold) and the registry's predict::/lb:: formulas.
 
 Exit codes: 0 all kernels pass, 1 any mismatch or lint finding, 2 usage.
 
@@ -1220,7 +1219,7 @@ Subcommands:
   convert  translate a trace file between the csv and binary formats
   list     enumerate registered algorithms and builtin campaigns
   audit    static obliviousness verifier: taint-classify every kernel's
-           program and lint recorded schedules against the D-BSP
+           program and lint its cost trace against the D-BSP
            invariants and registry formulas (docs/AUDIT.md)
   check    validate result JSON, replay golden traces (--golden DIR), or
            gate a serve stats document (--serve-stats FILE), optionally

@@ -4,13 +4,10 @@
 #include <limits>
 #include <stdexcept>
 
-#include "bsp/trace_store.hpp"
-
 namespace nobl {
 namespace {
 
-template <typename TraceLike>
-void check(const TraceLike& trace, unsigned log_p) {
+void check(const FoldTables& trace, unsigned log_p) {
   if (log_p == 0 || log_p > trace.log_v()) {
     throw std::out_of_range("wiseness: log_p out of range");
   }
@@ -18,8 +15,7 @@ void check(const TraceLike& trace, unsigned log_p) {
 
 }  // namespace
 
-template <typename TraceLike>
-double wiseness_alpha(const TraceLike& trace, unsigned log_p) {
+double wiseness_alpha(const FoldTables& trace, unsigned log_p) {
   check(trace, log_p);
   double alpha = 1.0;
   const double p = static_cast<double>(std::uint64_t{1} << log_p);
@@ -33,8 +29,7 @@ double wiseness_alpha(const TraceLike& trace, unsigned log_p) {
   return alpha;
 }
 
-template <typename TraceLike>
-double fullness_gamma(const TraceLike& trace, unsigned log_p) {
+double fullness_gamma(const FoldTables& trace, unsigned log_p) {
   check(trace, log_p);
   double gamma = std::numeric_limits<double>::infinity();
   const double p = static_cast<double>(std::uint64_t{1} << log_p);
@@ -50,26 +45,16 @@ double fullness_gamma(const TraceLike& trace, unsigned log_p) {
   return constrained ? gamma : 0.0;
 }
 
-template <typename TraceLike>
-bool folding_inequality_holds(const TraceLike& trace, unsigned log_p) {
+bool folding_inequality_holds(const FoldTables& trace, unsigned log_p) {
   check(trace, log_p);
   const std::uint64_t p = std::uint64_t{1} << log_p;
   for (unsigned j = 1; j <= log_p; ++j) {
     // Lemma 3.1 bounds the j-fold total by (p/2^j) times the p-fold total,
-    // restricted to supersteps with label < j: both sides are cached trace
-    // sums, so the whole sweep is O(log p).
+    // restricted to supersteps with label < j: both sides are fold sums, so
+    // the whole sweep is O(log² p).
     if (trace.total_F(j) > (p >> j) * trace.partial_F(j, log_p)) return false;
   }
   return true;
 }
-
-// Explicit instantiations: the in-memory Trace and the mmap-backed reader.
-template double wiseness_alpha<Trace>(const Trace&, unsigned);
-template double wiseness_alpha<TraceReader>(const TraceReader&, unsigned);
-template double fullness_gamma<Trace>(const Trace&, unsigned);
-template double fullness_gamma<TraceReader>(const TraceReader&, unsigned);
-template bool folding_inequality_holds<Trace>(const Trace&, unsigned);
-template bool folding_inequality_holds<TraceReader>(const TraceReader&,
-                                                    unsigned);
 
 }  // namespace nobl

@@ -70,7 +70,7 @@ ResultCache::ResultCache(Config config)
   }
 }
 
-std::shared_ptr<const Trace> ResultCache::load_from_disk(
+std::shared_ptr<const FoldTables> ResultCache::load_from_disk(
     const CacheKey& key) const {
   if (disk_dir_.empty()) return nullptr;
   const std::filesystem::path path =
@@ -80,8 +80,8 @@ std::shared_ptr<const Trace> ResultCache::load_from_disk(
   try {
     // Every block CRC is re-verified by the reader's indexing pass, so a
     // bit-rotted entry can never be served — it falls through to recompute.
-    return std::make_shared<const Trace>(
-        TraceReader(path.string()).materialize());
+    // The entry keeps the reader's tables; the mapping closes here.
+    return std::make_shared<const FoldTables>(TraceReader(path.string()));
   } catch (const std::exception&) {
     return nullptr;
   }
@@ -142,21 +142,21 @@ void ResultCache::store_to_disk(const CacheKey& key, const Trace& trace) {
 }
 
 void ResultCache::insert_locked(const std::string& key,
-                                std::shared_ptr<const Trace> trace) {
+                                std::shared_ptr<const FoldTables> tables) {
   const auto it = entries_.find(key);
   if (it != entries_.end()) {
     order_.erase(it->second.position);
     entries_.erase(it);
   }
   order_.push_front(key);
-  entries_[key] = Entry{order_.begin(), std::move(trace)};
+  entries_[key] = Entry{order_.begin(), std::move(tables)};
   while (entries_.size() > capacity_) {
     entries_.erase(order_.back());
     order_.pop_back();
   }
 }
 
-std::shared_ptr<const Trace> ResultCache::get_or_compute(
+std::shared_ptr<const FoldTables> ResultCache::get_or_compute(
     const CacheKey& key, const std::function<Trace()>& compute,
     CacheTier* tier) {
   const std::string k = key.string_key();
@@ -175,7 +175,7 @@ std::shared_ptr<const Trace> ResultCache::get_or_compute(
         ++counters_.memory_hits;
         if (tier != nullptr) *tier = CacheTier::kMemory;
       }
-      return it->second.trace;
+      return it->second.tables;
     }
     const auto flight_it = flights_.find(k);
     if (flight_it == flights_.end()) break;
@@ -184,7 +184,7 @@ std::shared_ptr<const Trace> ResultCache::get_or_compute(
     const std::shared_ptr<Flight> flight = flight_it->second;
     waited = true;
     flight_cv_.wait(lock, [&flight] { return flight->done; });
-    // Loop: on success the trace is in the LRU; on failure the flight is
+    // Loop: on success the tables are in the LRU; on failure the flight is
     // gone and this caller becomes the next computer (retry semantics).
   }
 
@@ -192,15 +192,16 @@ std::shared_ptr<const Trace> ResultCache::get_or_compute(
   flights_[k] = flight;
   lock.unlock();
 
-  std::shared_ptr<const Trace> trace;
+  std::shared_ptr<const FoldTables> tables;
   CacheTier resolved = CacheTier::kExecuted;
   try {
-    trace = load_from_disk(key);
-    if (trace != nullptr) {
+    tables = load_from_disk(key);
+    if (tables != nullptr) {
       resolved = CacheTier::kDisk;
     } else {
-      trace = std::make_shared<const Trace>(compute());
-      store_to_disk(key, *trace);
+      Trace trace = compute();
+      store_to_disk(key, trace);
+      tables = std::make_shared<const FoldTables>(std::move(trace));
     }
   } catch (...) {
     lock.lock();
@@ -211,7 +212,7 @@ std::shared_ptr<const Trace> ResultCache::get_or_compute(
   }
 
   lock.lock();
-  insert_locked(k, trace);
+  insert_locked(k, tables);
   if (resolved == CacheTier::kDisk) {
     ++counters_.disk_hits;
   } else {
@@ -221,7 +222,7 @@ std::shared_ptr<const Trace> ResultCache::get_or_compute(
   flight->done = true;
   flight_cv_.notify_all();
   if (tier != nullptr) *tier = resolved;
-  return trace;
+  return tables;
 }
 
 ResultCache::Counters ResultCache::counters() const {

@@ -1,29 +1,31 @@
 // Two-tier content-addressed result cache for `nobl serve`.
 //
-// The cache unit is the *trace* of one (kernel, n, backend) cell — the
-// strongest possible dedupe for cost queries: a trace answers every
-// (fold, σ) cell of every request (H, α, γ, certification are pure O(1)
-// queries after the cumulative tables build), so caching one trace
-// subsumes the whole (kernel, n, σ, backend) query family. Engines are
-// deliberately NOT part of the key: traces are engine-invariant (pinned
-// by tests/bsp/test_engine_equivalence.cpp), so a `par:2` cell is served
-// from the trace a `seq` cell recorded.
+// The cache unit is the fold sums (FoldTables, bsp/trace.hpp) of one
+// (kernel, n, backend) cell's trace — the strongest possible dedupe for
+// cost queries: they answer every (fold, σ) cell of every request (H, α,
+// γ, certification), so caching one entry subsumes the whole
+// (kernel, n, σ, backend) query family, in O(log² v) words however many
+// supersteps the kernel ran. Engines are deliberately NOT part of the key:
+// traces are engine-invariant (pinned by
+// tests/bsp/test_engine_equivalence.cpp), so a `par:2` cell is served from
+// the tables a `seq` cell recorded.
 //
-// Tier 1 — in-memory LRU of materialized Trace objects (shared_ptr, so a
-//   hit never copies; eviction is by entry count, the operator knob
-//   `--memory-entries`).
-// Tier 2 — a directory of `.nbt` files in the PR-7 binary columnar trace
-//   format, one per key, named content-addressed:
+// Tier 1 — in-memory LRU of immutable FoldTables behind shared_ptr<const>:
+//   a hit hands the shared entry to evaluation, which only reads it, so no
+//   hit copies it and concurrent hits need no lock beyond the LRU's
+//   (eviction is by entry count, the operator knob `--memory-entries`).
+// Tier 2 — a directory of `.nbt` files in the binary columnar trace
+//   format (bsp/trace_store.hpp), one per key, named content-addressed:
 //
 //     <kernel>_n<N>_<backend>-<fnv1a64(key) as 16 hex digits>.nbt
 //
-//   A hit on a cold restart replays the file through TraceReader (every
-//   block CRC re-verified) instead of re-executing the kernel; a corrupt
-//   or truncated file is treated as a miss and transparently re-written.
-//   Stores are atomic and durable (unique pid+sequence temp name, fsync,
-//   then rename), so a crashed server never leaves a half-written cache
-//   entry behind and concurrent writers never clobber each other's temp
-//   files.
+//   A hit on a cold restart indexes the file through TraceReader (every
+//   block CRC re-verified) and keeps the reader's tables, instead of
+//   re-executing the kernel; a corrupt or truncated file is treated as a
+//   miss and transparently re-written. Stores are atomic and durable
+//   (unique pid+sequence temp name, fsync, then rename), so a crashed
+//   server never leaves a half-written cache entry behind and concurrent
+//   writers never clobber each other's temp files.
 //
 // Concurrent identical cells are single-flighted: the first caller
 // computes, every other caller blocks on the in-flight entry and is
@@ -46,7 +48,7 @@
 namespace nobl::serve {
 
 /// Cache identity of one cell. σ and the engine are evaluation-time
-/// parameters of the cached trace, not part of the key (see file comment).
+/// parameters of the cached tables, not part of the key (see file comment).
 struct CacheKey {
   std::string kernel;
   std::uint64_t n = 0;
@@ -93,12 +95,13 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// Return the trace for `key`, from the memory tier, the disk tier, a
-  /// coalesced in-flight computation, or by invoking `compute` (in that
-  /// order). Thread-safe; `compute` runs outside the cache lock. `tier`
-  /// (when non-null) reports which path answered. Exceptions from
+  /// Return the fold tables for `key`, from the memory tier, the disk tier,
+  /// a coalesced in-flight computation, or by invoking `compute` (in that
+  /// order; a computed trace is stored to the disk tier whole, then cached
+  /// as its tables). Thread-safe; `compute` runs outside the cache lock.
+  /// `tier` (when non-null) reports which path answered. Exceptions from
   /// `compute` propagate to every coalesced waiter as well as the caller.
-  [[nodiscard]] std::shared_ptr<const Trace> get_or_compute(
+  [[nodiscard]] std::shared_ptr<const FoldTables> get_or_compute(
       const CacheKey& key, const std::function<Trace()>& compute,
       CacheTier* tier = nullptr);
 
@@ -117,12 +120,12 @@ class ResultCache {
   };
 
   /// Try the disk tier; empty shared_ptr on miss or unreadable file.
-  [[nodiscard]] std::shared_ptr<const Trace> load_from_disk(
+  [[nodiscard]] std::shared_ptr<const FoldTables> load_from_disk(
       const CacheKey& key) const;
   void store_to_disk(const CacheKey& key, const Trace& trace);
   /// Insert into the LRU under the lock, evicting the tail beyond capacity.
   void insert_locked(const std::string& key,
-                     std::shared_ptr<const Trace> trace);
+                     std::shared_ptr<const FoldTables> tables);
 
   std::string disk_dir_;  ///< empty = disk tier disabled
   std::size_t capacity_;
@@ -133,7 +136,7 @@ class ResultCache {
   std::list<std::string> order_;
   struct Entry {
     std::list<std::string>::iterator position;
-    std::shared_ptr<const Trace> trace;
+    std::shared_ptr<const FoldTables> tables;
   };
   std::map<std::string, Entry> entries_;
   std::map<std::string, std::shared_ptr<Flight>> flights_;

@@ -183,7 +183,7 @@ void ServeCore::process(const Cell& cell) {
     if (config_.on_cell_start) config_.on_cell_start();
     CacheTier tier = CacheTier::kExecuted;
     const CacheKey key{cell.entry->name, cell.n, cell.backend};
-    const std::shared_ptr<const Trace> trace = cache_.get_or_compute(
+    const std::shared_ptr<const FoldTables> tables = cache_.get_or_compute(
         key,
         [&cell] {
           return cell.entry->runner(cell.n,
@@ -192,10 +192,10 @@ void ServeCore::process(const Cell& cell) {
         &tier);
     // The exact metric/JSON path of `nobl run`: a cache-hit cell and a
     // freshly-executed cell are byte-identical because they ARE the same
-    // code over the same (bit-identical) trace.
+    // code over the same fold sums. Evaluation only reads the shared
+    // entry, so no hit copies it.
     const RunResult run = evaluate_run(*request->spec, *cell.entry, cell.n,
-                                       cell.backend, cell.policy,
-                                       Trace(*trace));
+                                       cell.backend, cell.policy, *tables);
     const double latency_ms = ms_since(cell_start);
     std::size_t depth = 0;
     {

@@ -55,7 +55,7 @@ struct ServeConfig {
   unsigned workers = 4;
   /// Bounded queue: maximum cells pending across all requests.
   std::size_t max_queue = 256;
-  /// In-memory LRU capacity of the result cache, in traces.
+  /// In-memory LRU capacity of the result cache, in entries.
   std::size_t memory_entries = 64;
   /// Test hook: invoked at the start of every cell execution (used by the
   /// overload tests to hold workers on a latch). Never set in production.

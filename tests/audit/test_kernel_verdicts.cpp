@@ -1,6 +1,6 @@
 // The registry pin: every kernel's static obliviousness verdict must agree
-// with its `input_independent` annotation, and every recorded schedule must
-// lint clean. A kernel whose annotation drifts from what its program
+// with its `input_independent` annotation, and every kernel's cost trace
+// must lint clean. A kernel whose annotation drifts from what its program
 // actually does — in either direction — fails here by name.
 #include <cstdint>
 #include <string>
@@ -38,22 +38,18 @@ TEST(KernelVerdicts, EveryKernelMatchesItsRegistryAnnotation) {
   }
 }
 
-TEST(KernelVerdicts, OneReplayLintEqualsTheThreeReplayComposition) {
-  // audit_kernel lints from one record run and one replay; the verdict
-  // must equal linting a separately recorded schedule with its own
-  // replays: lint_schedule(s) + lint_against_formulas(s.replay_trace()).
+TEST(KernelVerdicts, AuditLintIsTheCostTraceLint) {
+  // audit_kernel lints the trace of one cost run: its verdict must equal
+  // linting a separately executed cost trace with the degree-structure and
+  // formula rules, issue for issue.
   for (const AlgoEntry& entry : AlgoRegistry::instance().entries()) {
     const std::uint64_t n = entry.smoke_sizes.front();
-    Schedule schedule;
-    RunOptions record;
-    record.backend = BackendKind::kRecord;
-    record.capture = &schedule;
-    (void)entry.runner(n, record);
-    ScheduleLintReport expected = lint_schedule(schedule);
+    const Trace trace = entry.runner(n, BackendKind::kCost);
+    ScheduleLintReport expected = lint_degree_structure(trace);
     merge_into(expected,
-               lint_against_formulas(schedule.replay_trace(), n,
-                                     entry.predicted, entry.lower_bound,
-                                     entry.exact_h, entry.name));
+               lint_against_formulas(trace, n, entry.predicted,
+                                     entry.lower_bound, entry.exact_h,
+                                     entry.name));
 
     const ScheduleLintReport actual = audit_kernel(entry, n).lint;
     ASSERT_EQ(actual.issues.size(), expected.issues.size()) << entry.name;

@@ -9,10 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include "algorithms/samplesort.hpp"
+#include "algorithms/scan.hpp"
+#include "algorithms/sort.hpp"
 #include "audit/schedule_lint.hpp"
 #include "bsp/backend.hpp"
 #include "bsp/trace.hpp"
 #include "core/registry.hpp"
+#include "core/workloads.hpp"
 
 namespace nobl::audit {
 namespace {
@@ -24,17 +28,28 @@ bool has_rule(const ScheduleLintReport& report, const std::string& rule) {
   return false;
 }
 
-Schedule recorded(const std::string& kernel, std::uint64_t n) {
-  Schedule schedule;
-  RunOptions options;
-  options.backend = BackendKind::kRecord;
-  options.capture = &schedule;
-  (void)AlgoRegistry::instance().at(kernel).runner(n, options);
-  return schedule;
+/// Record a kernel's schedule on the registry workload (seed = n, the
+/// registry runners' convention) by driving its program under a
+/// RecordBackend.
+template <typename Program>
+Schedule recorded(std::uint64_t v, Program&& program) {
+  RecordBackend backend(v);
+  program(backend);
+  return backend.schedule();
+}
+
+Schedule recorded_scan(std::uint64_t n) {
+  const auto addends = workloads::random_addends(n, n);
+  return recorded(n, [&](auto& bk) { (void)scan_program(bk, addends); });
+}
+
+Schedule recorded_sort(std::uint64_t n) {
+  const auto keys = workloads::random_keys(n, n);
+  return recorded(n, [&](auto& bk) { (void)sort_program(bk, keys, true); });
 }
 
 TEST(ScheduleLint, RecordedScanIsClean) {
-  const ScheduleLintReport report = lint_schedule(recorded("scan", 64));
+  const ScheduleLintReport report = lint_schedule(recorded_scan(64));
   EXPECT_TRUE(report.clean()) << report.issues.front().rule << ": "
                               << report.issues.front().detail;
 }
@@ -42,7 +57,9 @@ TEST(ScheduleLint, RecordedScanIsClean) {
 TEST(ScheduleLint, RecordedSamplesortIsClean) {
   // Data-dependent degrees are still *structurally* legal: containment,
   // dummy discipline and degree shape hold for every input.
-  const ScheduleLintReport report = lint_schedule(recorded("samplesort", 64));
+  const auto keys = workloads::random_keys(64, 64);
+  const ScheduleLintReport report = lint_schedule(
+      recorded(64, [&](auto& bk) { (void)samplesort_program(bk, keys); }));
   EXPECT_TRUE(report.clean()) << report.issues.front().rule << ": "
                               << report.issues.front().detail;
 }
@@ -54,36 +71,6 @@ TEST(ScheduleLint, LabelRangeRule) {
                                      {0, 1, 1, false}});
   const ScheduleLintReport report = lint_schedule(schedule);
   EXPECT_TRUE(has_rule(report, "label-range"));
-}
-
-TEST(ScheduleLint, SuppliedTraceOverloadReportsLabelRangeWithoutThrowing) {
-  // The schedule alone cannot be replayed (replay_trace() throws on the
-  // label); with the trace supplied, the event checks still report it.
-  Schedule schedule;
-  schedule.log_v = 2;
-  schedule.steps.emplace_back(2, std::initializer_list<ScheduleSend>{
-                                     {0, 1, 1, false}});
-  ScheduleLintReport report;
-  EXPECT_NO_THROW(report = lint_schedule(schedule, Trace(2)));
-  EXPECT_TRUE(has_rule(report, "label-range"));
-}
-
-TEST(ScheduleLint, SuppliedTraceOverloadLintsTheSuppliedDegrees) {
-  // Clean events, impossible supplied degrees: the degree checks read the
-  // trace they are given, not a fresh replay.
-  Schedule schedule;
-  schedule.log_v = 2;
-  schedule.steps.emplace_back(0, std::initializer_list<ScheduleSend>{
-                                     {0, 1, 1, false}});
-  ASSERT_TRUE(lint_schedule(schedule).clean());
-  Trace trace(2);
-  SuperstepRecord record;
-  record.label = 0;
-  record.degree = {0, 5, 1};
-  record.messages = 5;
-  trace.append(record);
-  const ScheduleLintReport report = lint_schedule(schedule, trace);
-  EXPECT_TRUE(has_rule(report, "degree-doubling"));
 }
 
 TEST(ScheduleLint, EndpointRangeRule) {
@@ -166,7 +153,7 @@ TEST(ScheduleLint, DegreeDoublingRule) {
 }
 
 TEST(ScheduleLint, ReplayedScheduleDegreesAlwaysSatisfyStructure) {
-  const Schedule schedule = recorded("sort", 64);
+  const Schedule schedule = recorded_sort(64);
   const ScheduleLintReport report =
       lint_degree_structure(schedule.replay_trace());
   EXPECT_TRUE(report.clean());
@@ -174,7 +161,7 @@ TEST(ScheduleLint, ReplayedScheduleDegreesAlwaysSatisfyStructure) {
 
 TEST(ScheduleLint, ExactFormulaReconciliationPassesAndDetectsDrift) {
   const AlgoEntry& scan = AlgoRegistry::instance().at("scan");
-  const Trace trace = recorded("scan", 64).replay_trace();
+  const Trace trace = recorded_scan(64).replay_trace();
   const ScheduleLintReport clean = lint_against_formulas(
       trace, 64, scan.predicted, scan.lower_bound, true, "scan");
   EXPECT_TRUE(clean.clean())
@@ -189,7 +176,7 @@ TEST(ScheduleLint, ExactFormulaReconciliationPassesAndDetectsDrift) {
 
 TEST(ScheduleLint, EnvelopeReconciliationPassesAndDetectsViolations) {
   const AlgoEntry& sort = AlgoRegistry::instance().at("sort");
-  const Trace trace = recorded("sort", 64).replay_trace();
+  const Trace trace = recorded_sort(64).replay_trace();
   const ScheduleLintReport clean = lint_against_formulas(
       trace, 64, sort.predicted, sort.lower_bound, false, "sort");
   EXPECT_TRUE(clean.clean())

@@ -144,37 +144,6 @@ TEST(Backend, RunForTraceIsBackendInvariant) {
   expect_traces_identical(simulate, record);
 }
 
-TEST(Backend, RunForTraceMovesTheReplayedScheduleIntoCapture) {
-  // The record case replays the schedule, then moves it into `capture`:
-  // the moved schedule must equal the one a fresh RecordBackend keeps, and
-  // the returned trace must be that schedule's replay.
-  for (const std::uint64_t v : {4u, 16u, 64u}) {
-    Schedule captured;
-    RunOptions options{BackendKind::kRecord};
-    options.capture = &captured;
-    const Trace trace = run_for_trace<int>(
-        v, options, [](auto& bk) { mixed_program(bk); });
-    RecordBackend fresh(v);
-    mixed_program(fresh);
-    EXPECT_EQ(captured.log_v, fresh.schedule().log_v);
-    EXPECT_EQ(captured.steps, fresh.schedule().steps);
-    expect_traces_identical(trace, captured.replay_trace());
-    expect_traces_identical(trace, fresh.trace());
-  }
-}
-
-TEST(RecordBackend, TakeScheduleStopsCapturing) {
-  RecordBackend bk(4);
-  bk.superstep(0, [](auto& vp) { vp.send(vp.id() ^ 1, 1); });
-  const Schedule taken = bk.take_schedule();
-  ASSERT_EQ(taken.steps.size(), 1u);
-  EXPECT_EQ(taken.steps[0].size(), 4u);
-  // Later supersteps still count into the trace but are not recorded.
-  bk.superstep(0, [](auto& vp) { vp.send(vp.id() ^ 2, 1); });
-  EXPECT_EQ(bk.trace().supersteps(), 2u);
-  EXPECT_TRUE(bk.schedule().steps.empty());
-}
-
 TEST(Backend, ProgramsReturnHostMirroredOutputsUnderEveryBackend) {
   const auto addends = workloads::random_addends(16, 5);
   SimulateBackend<std::uint64_t> simulate(16);

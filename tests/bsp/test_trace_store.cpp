@@ -294,7 +294,7 @@ TEST(TraceStore, StreamedDenseAllToAllStaysUnderMemoryCap) {
   const TraceReader reader(path);
   EXPECT_GT(reader.file_bytes(), kMemoryCapBytes)
       << "the streamed trace file must exceed the in-memory cap";
-  EXPECT_LT(reader.resident_bytes(), kMemoryCapBytes)
+  EXPECT_LT(reader.table_bytes(), kMemoryCapBytes)
       << "the reader's index must stay O(log^2 v), under the cap";
   EXPECT_EQ(reader.peak_live_blocks(), 1u)
       << "at most one decoded block may ever be live";
